@@ -170,11 +170,11 @@ struct BenchMeta {
   std::vector<std::pair<std::string, std::string>> Extra;
 };
 
-/// Stamps both tiers of a variant cache's counters into \p Meta.Extra
+/// Stamps a variant cache's counters into \p Meta.Extra
 /// (`"cache_<counter>": N` pairs with \p Prefix prepended to the key), so
-/// warm-start provenance — did this artifact's numbers pay compiles, disk
-/// deserializations, or pack imports? — rides in the BENCH_*.json meta
-/// block of every cache-backed bench.
+/// warm-start provenance — did this artifact's numbers pay compiles or
+/// start from a pack? — rides in the BENCH_*.json meta block of every
+/// cache-backed bench.
 inline void appendCacheMeta(BenchMeta &Meta, const engine::CacheStats &S,
                             const std::string &Prefix = "") {
   auto Add = [&](const char *Key, uint64_t Value) {
@@ -183,10 +183,6 @@ inline void appendCacheMeta(BenchMeta &Meta, const engine::CacheStats &S,
   Add("cache_hits", S.Hits);
   Add("cache_misses", S.Misses);
   Add("cache_compiled", S.VariantsCompiled);
-  Add("cache_disk_hits", S.DiskHits);
-  Add("cache_disk_misses", S.DiskMisses);
-  Add("cache_disk_write_failures", S.DiskWriteFailures);
-  Add("cache_corrupt_dropped", S.CorruptEntriesDropped);
 }
 
 /// Compile-time observability attached to a bench's JSON artifact: total

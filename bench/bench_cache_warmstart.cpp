@@ -1,31 +1,23 @@
-//===- bench_cache_warmstart.cpp - Persistent-cache warm-start latency ------===//
+//===- bench_cache_warmstart.cpp - Tuned-pack warm-start latency ------------===//
 //
 // Part of the tangram-reduction project. See README.md for license details.
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures what the two-tier VariantCache and tuned-variant packs buy a
-// reduction server at startup: the time from engine creation to the first
-// completed reduction at the serving size. A server that does not know
-// its winning variant must tune before it can answer anything — sweep the
-// pruned portfolio, timing every tunable configuration — and only then
-// launch the winner. The persistent tiers shorten that path at two
-// levels:
-//   cold-compile : fresh cache directory. The tuning sweep pays synthesis
-//                  + bytecode compile for every configuration (artifacts
-//                  written through to disk), then the first job runs.
-//   disk-hit     : fresh process over the directory the cold run
-//                  populated. The sweep still times every configuration
-//                  but every compile is replaced by an artifact
-//                  deserialization (VariantsCompiled must stay 0).
+// Measures what tuned-variant packs buy a reduction server at startup: the
+// time from engine creation to the first completed reduction at the
+// serving size. A server that does not know its winning variant must tune
+// before it can answer anything — sweep the pruned portfolio, timing every
+// tunable configuration — and only then launch the winner:
+//   cold-compile : fresh cache. The tuning sweep pays synthesis + bytecode
+//                  compile for every configuration, then the first job
+//                  runs.
 //   pack-import  : no tuning at all. The engine warm-starts from a
 //                  tuned-variant pack (`tgrc tune --export`), reads the
 //                  recorded winner, and serves it directly.
-// Each regime runs --trials times (cold trials each get a virgin
-// directory — a directory is only cold once) and reports the minimum, the
-// floor of each path. Warm regimes must reach the first completed job
-// with VariantsCompiled == 0, and the gate is best-warm >= 10x faster
-// than cold.
+// Each regime runs --trials times and reports the minimum, the floor of
+// each path. The pack regime must reach the first completed job with
+// VariantsCompiled == 0, and the gate is pack >= 10x faster than cold.
 //
 // Writes BENCH_cache_warmstart.json.
 //
@@ -63,11 +55,9 @@ struct RegimeResult {
 };
 
 support::Expected<std::unique_ptr<TangramReduction>>
-makeSpectrum(const Config &C, const std::string &CacheDir,
-             const std::vector<std::string> &Packs) {
+makeSpectrum(const Config &C, const std::vector<std::string> &Packs) {
   TangramReduction::Options TO;
-  TO.TimingBackend = C.Backend;
-  TO.Engine.CachePath = CacheDir;
+  TO.Tune.TimingBackend = C.Backend;
   TO.Engine.ImportPacks = Packs;
   return TangramReduction::create(TO);
 }
@@ -100,13 +90,12 @@ bool runFirstJob(const Config &C, engine::ExecutionEngine &E,
   return true;
 }
 
-/// Cold / disk-hit path: the process does not know its winner, so the
-/// timed window covers the full hardened tuning sweep (findBestReport)
-/// before the first job. Over a populated cache directory the sweep's
-/// compiles all become disk hits; over a virgin one they are paid in full.
-RegimeResult runTunedRegime(const Config &C, const std::string &CacheDir) {
+/// Cold path: the process does not know its winner, so the timed window
+/// covers the full hardened tuning sweep (findBestReport), every compile
+/// included, before the first job.
+RegimeResult runColdRegime(const Config &C) {
   RegimeResult R;
-  auto TR = makeSpectrum(C, CacheDir, {});
+  auto TR = makeSpectrum(C, {});
   if (!TR) {
     std::fprintf(stderr, "error: %s\n", TR.status().toString().c_str());
     return R;
@@ -128,7 +117,7 @@ RegimeResult runTunedRegime(const Config &C, const std::string &CacheDir) {
 /// happens at engine creation), and serving the first job.
 RegimeResult runPackRegime(const Config &C, const std::string &PackPath) {
   RegimeResult R;
-  auto TR = makeSpectrum(C, "", {PackPath});
+  auto TR = makeSpectrum(C, {PackPath});
   if (!TR) {
     std::fprintf(stderr, "error: %s\n", TR.status().toString().c_str());
     return R;
@@ -153,7 +142,7 @@ RegimeResult runPackRegime(const Config &C, const std::string &PackPath) {
 
 /// Minimum over \p Trials runs of \p Run (the per-regime floor). All
 /// trials must complete; the compile counter reported is the maximum over
-/// trials — every trial of a warm regime must show zero, and min() on
+/// trials — every trial of the pack regime must show zero, and min() on
 /// Seconds alone could hide a flaky one.
 RegimeResult minOverTrials(unsigned Trials,
                            const std::function<RegimeResult()> &Run) {
@@ -172,12 +161,10 @@ RegimeResult minOverTrials(unsigned Trials,
   return Best;
 }
 
-/// Re-runs the (now compile-free) sweep over the warm directory and
-/// exports its winner — exactly what `tgrc tune --cache-dir=... --export`
-/// produces for a serving fleet.
-bool exportWinnerPack(const Config &C, const std::string &CacheDir,
-                      const std::string &PackPath) {
-  auto TR = makeSpectrum(C, CacheDir, {});
+/// Runs the tuning sweep once more and exports its winner — exactly what
+/// `tgrc tune --export` produces for a serving fleet.
+bool exportWinnerPack(const Config &C, const std::string &PackPath) {
+  auto TR = makeSpectrum(C, {});
   if (!TR)
     return false;
   const sim::ArchDesc Arch = sim::getPascalP100();
@@ -233,56 +220,37 @@ int main(int Argc, char **Argv) {
   fs::create_directories(Root);
   const std::string PackPath = (Root / "winner.tgrp").string();
 
-  std::printf("persistent-cache warm start: time to first completed job "
+  std::printf("tuned-pack warm start: time to first completed job "
               "(%zu floats, backend=%s, %u trial(s) per regime)\n\n",
               C.N, engine::getBackendName(C.Backend), C.Trials);
 
-  // Cold: every trial gets a virgin directory — a directory is only cold
-  // once. Trial 0's directory doubles as the warm regimes' populated one.
-  unsigned ColdTrial = 0;
-  RegimeResult Cold = minOverTrials(C.Trials, [&] {
-    return runTunedRegime(
-        C, (Root / ("cold" + std::to_string(ColdTrial++))).string());
-  });
+  // Cold: every trial builds a fresh facade, so every trial compiles.
+  RegimeResult Cold =
+      minOverTrials(C.Trials, [&] { return runColdRegime(C); });
   if (!Cold.Ok)
     return 1;
 
-  // Disk hit: fresh caches (fresh processes, as far as the cache can
-  // tell) over the directory cold trial 0 populated. Still tunes; never
-  // compiles.
-  const std::string WarmDir = (Root / "cold0").string();
-  RegimeResult Disk = minOverTrials(
-      C.Trials, [&] { return runTunedRegime(C, WarmDir); });
-  if (!Disk.Ok)
-    return 1;
-
   // Pack: export the tuned winner once, then warm-start pack-only
-  // processes that never tune (no cache directory at all).
-  if (!exportWinnerPack(C, WarmDir, PackPath))
+  // processes that never tune.
+  if (!exportWinnerPack(C, PackPath))
     return 1;
   RegimeResult Pack = minOverTrials(
       C.Trials, [&] { return runPackRegime(C, PackPath); });
   if (!Pack.Ok)
     return 1;
 
-  const double Warm = std::min(Disk.Seconds, Pack.Seconds);
-  const double Speedup = Warm > 0 ? Cold.Seconds / Warm : 0;
-  // Warm processes serving known keys must never compile — the point of
-  // the persistent tier. A single compile in any warm trial fails the run.
-  const bool WarmNeverCompiled =
-      Disk.Cache.VariantsCompiled == 0 && Pack.Cache.VariantsCompiled == 0;
+  const double Speedup = Pack.Seconds > 0 ? Cold.Seconds / Pack.Seconds : 0;
+  // A warm process serving known keys must never compile — the point of
+  // the pack. A single compile in any pack trial fails the run.
+  const bool WarmNeverCompiled = Pack.Cache.VariantsCompiled == 0;
 
   auto PrintRow = [](const char *Name, const RegimeResult &R) {
-    std::printf("%-13s %10.3f ms   compiled=%llu (%.3f ms) "
-                "disk-hits=%llu disk-misses=%llu\n",
-                Name, R.Seconds * 1e3,
+    std::printf("%-13s %10.3f ms   compiled=%llu (%.3f ms)\n", Name,
+                R.Seconds * 1e3,
                 static_cast<unsigned long long>(R.Cache.VariantsCompiled),
-                R.Cache.CompileSeconds * 1e3,
-                static_cast<unsigned long long>(R.Cache.DiskHits),
-                static_cast<unsigned long long>(R.Cache.DiskMisses));
+                R.Cache.CompileSeconds * 1e3);
   };
   PrintRow("cold-compile", Cold);
-  PrintRow("disk-hit", Disk);
   PrintRow("pack-import", Pack);
   std::printf("\nwarm-start speedup: %.1fx (gate: >= 10x, warm compiles "
               "= 0: %s)\n",
@@ -290,8 +258,6 @@ int main(int Argc, char **Argv) {
 
   std::vector<bench::BenchRecord> Records;
   Records.push_back({"Pascal P100", "cold-compile", C.N, Cold.Seconds});
-  Records.push_back({"Pascal P100", "disk-hit", C.N, Disk.Seconds,
-                     Disk.Cache.VariantsCompiled ? "warm-compiled" : "ok"});
   Records.push_back({"Pascal P100", "pack-import", C.N, Pack.Seconds,
                      Pack.Cache.VariantsCompiled ? "warm-compiled" : "ok"});
   Records.push_back({"Pascal P100", "speedup", C.N, Speedup,
@@ -301,7 +267,6 @@ int main(int Argc, char **Argv) {
   Meta.Backend = C.Backend == engine::Backend::NativeCpu ? "native"
                                                          : "simulator";
   bench::appendCacheMeta(Meta, Cold.Cache, "cold_");
-  bench::appendCacheMeta(Meta, Disk.Cache, "disk_");
   bench::appendCacheMeta(Meta, Pack.Cache, "pack_");
   bench::writeBenchJson("cache_warmstart", Records, nullptr, Meta);
 

@@ -6,7 +6,6 @@
 
 #include "engine/ExecutionEngine.h"
 
-#include "engine/DiskCache.h"
 #include "native/NativeKernel.h"
 #include "reduce/OpDef.h"
 #include "support/StableHash.h"
@@ -53,15 +52,9 @@ ExecutionEngine::ExecutionEngine(const ArchDesc &Arch, EngineOptions Opts)
       Machine(Dev, this->Arch, Pool.get()), NativeM(Dev, Pool.get()) {
   Machine.setRaceCheckOptions(Opts.RaceCheck);
   Machine.setFaultPlan(Opts.Fault);
-  // Persistent tier: attach a disk cache unless the (possibly shared)
-  // cache already carries one — per-arch engines sharing a cache all name
-  // the same directory, and the first one wins.
-  if (!Opts.CachePath.empty() && !Cache->getDiskCache())
-    Cache->attachDiskCache(std::make_shared<DiskCache>(Opts.CachePath));
-  // Warm start: pack entries go straight into the cache (and through to
-  // the disk tier), so the first request on an imported key never pays a
-  // compile flight. Problems degrade to a cold start, recorded for the
-  // caller to surface.
+  // Warm start: pack entries go straight into the cache, so the first
+  // request on an imported key never pays a compile flight. Problems
+  // degrade to a cold start, recorded for the caller to surface.
   for (const std::string &Path : Opts.ImportPacks) {
     auto Imported = importTunedPackFile(Path);
     if (!Imported)
@@ -200,11 +193,11 @@ LaunchResult ExecutionEngine::launch(const ir::CompiledKernel &Kernel,
   return Machine.launch(Kernel, Config, Args, Mode);
 }
 
-Expected<RunResult>
-ExecutionEngine::runReductionImpl(const synth::SynthesizedVariant &V,
-                                  BufferId In, size_t N, ExecMode Mode,
-                                  Backend B) {
-  RunResult Out;
+Expected<ReduceResult>
+ExecutionEngine::runReduction(const synth::SynthesizedVariant &V, BufferId In,
+                              size_t N, ExecMode Mode, Backend B) {
+  ReduceResult Out;
+  Out.Used = B;
 
   if (B == Backend::NativeCpu) {
     if (!V.Native)
@@ -285,7 +278,7 @@ ExecutionEngine::runReductionImpl(const synth::SynthesizedVariant &V,
       return Status(StatusCode::InternalError,
                     "two-kernel variant without a second stage");
     auto Stage =
-        runReductionImpl(*V.SecondStage, ReturnBuf, Config.GridDim, Mode, B);
+        runReduction(*V.SecondStage, ReturnBuf, Config.GridDim, Mode, B);
     if (!Stage)
       return Stage.status();
     Out.Seconds += Stage->Seconds;
@@ -345,26 +338,14 @@ Expected<ReduceResult> ExecutionEngine::run(const ReduceRequest &Req) {
   auto V = getVariant(Req.Desc, Req.Flags, Req.BackendKind);
   if (!V)
     return V.status();
-  auto Out = runReductionImpl(**V, Req.In, Req.N, Req.Mode, Req.BackendKind);
-  if (!Out)
-    return Out.status();
-  ReduceResult R;
-  static_cast<RunResult &>(R) = std::move(*Out);
-  R.Used = Req.BackendKind;
-  return R;
+  return runReduction(**V, Req.In, Req.N, Req.Mode, Req.BackendKind);
 }
 
 Expected<ReduceResult> ExecutionEngine::run(const ReduceRequest &Req,
                                             const synth::SynthesizedVariant &V) {
   if (Status S = admit(Req); !S.ok())
     return S;
-  auto Out = runReductionImpl(V, Req.In, Req.N, Req.Mode, Req.BackendKind);
-  if (!Out)
-    return Out.status();
-  ReduceResult R;
-  static_cast<RunResult &>(R) = std::move(*Out);
-  R.Used = Req.BackendKind;
-  return R;
+  return runReduction(V, Req.In, Req.N, Req.Mode, Req.BackendKind);
 }
 
 Expected<DiagnoseReport> ExecutionEngine::diagnose(const DiagnoseRequest &Req) {
@@ -372,14 +353,14 @@ Expected<DiagnoseReport> ExecutionEngine::diagnose(const DiagnoseRequest &Req) {
   Report.Kind = Req.Kind;
   switch (Req.Kind) {
   case DiagnoseKind::Race: {
-    auto R = raceCheckImpl(Req.Desc, Req.N, Req.Flags);
+    auto R = raceCheck(Req.Desc, Req.N, Req.Flags);
     if (!R)
       return R.status();
     Report.Race = std::move(*R);
     return Report;
   }
   case DiagnoseKind::Fault: {
-    auto F = faultCheckImpl(Req.Desc, Req.N, Req.Plan, Req.Flags);
+    auto F = faultCheck(Req.Desc, Req.N, Req.Plan, Req.Flags);
     if (!F)
       return F.status();
     Report.Fault = std::move(*F);
@@ -388,42 +369,15 @@ Expected<DiagnoseReport> ExecutionEngine::diagnose(const DiagnoseRequest &Req) {
   case DiagnoseKind::Validate:
     // Findings are data: a wrong result (or any trap along the way) lands
     // in the Validation arm, not in the Expected's Status.
-    Report.Validation = validateImpl(Req.Desc, Req.N, Req.BackendKind);
+    Report.Validation = validateVariant(Req.Desc, Req.N, Req.BackendKind);
     return Report;
   }
   return Status(StatusCode::InvalidArgument, "unknown diagnose kind");
 }
 
-Expected<RunResult>
-ExecutionEngine::runReduction(const synth::SynthesizedVariant &V, BufferId In,
-                              size_t N, ExecMode Mode, Backend B) {
-  return runReductionImpl(V, In, N, Mode, B);
-}
-
-Expected<RunResult> ExecutionEngine::reduce(const synth::VariantDescriptor &Desc,
-                                            BufferId In, size_t N,
-                                            ExecMode Mode, Backend B) {
-  ReduceRequest Req;
-  Req.Desc = Desc;
-  Req.In = In;
-  Req.N = N;
-  Req.Mode = Mode;
-  Req.BackendKind = B;
-  auto Out = run(Req);
-  if (!Out)
-    return Out.status();
-  return RunResult(std::move(*Out));
-}
-
 Expected<RaceReport>
 ExecutionEngine::raceCheck(const synth::VariantDescriptor &Desc, size_t N,
                            const synth::OptimizationFlags &Flags) {
-  return raceCheckImpl(Desc, N, Flags);
-}
-
-Expected<RaceReport>
-ExecutionEngine::raceCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
-                               const synth::OptimizationFlags &Flags) {
   auto V = getVariant(Desc, Flags);
   if (!V)
     return V.status();
@@ -438,8 +392,8 @@ ExecutionEngine::raceCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
     C->F = static_cast<double>(I % 17);
   }
 
-  auto Run = runReductionImpl(**V, In, N, ExecMode::RaceCheck,
-                              Backend::Simulator);
+  auto Run =
+      runReduction(**V, In, N, ExecMode::RaceCheck, Backend::Simulator);
   Dev.release(Mark);
   if (!Run)
     return Run.status();
@@ -480,20 +434,20 @@ ExecutionEngine::timeVariantChecked(const synth::VariantDescriptor &Desc,
   // backend runs the real grid and reports wall-clock.
   ExecMode Mode =
       B == Backend::NativeCpu ? ExecMode::Functional : ExecMode::Sampled;
-  auto Out = runReductionImpl(**V, In, N, Mode, B);
+  auto Out = runReduction(**V, In, N, Mode, B);
   if (!Out && Out.status().Code == StatusCode::DeadlineExceeded &&
       RetryBudgetFactor > 1) {
     // One retry at an escalated budget: a genuinely slow configuration
     // finishes and survives; a livelocked one trips the watchdog again
     // and is quarantined below.
     BudgetEscalation = RetryBudgetFactor;
-    Out = runReductionImpl(**V, In, N, Mode, B);
+    Out = runReduction(**V, In, N, Mode, B);
     BudgetEscalation = 1;
   }
   if (Out && B == Backend::NativeCpu)
     // Steady-state wall-clock: the first run converted buffer mirrors and
     // warmed caches; the second run is what a tuning/serving loop pays.
-    Out = runReductionImpl(**V, In, N, Mode, B);
+    Out = runReduction(**V, In, N, Mode, B);
   Dev.release(Mark);
   if (!Out) {
     quarantineVariant(Desc, Out.status());
@@ -504,11 +458,6 @@ ExecutionEngine::timeVariantChecked(const synth::VariantDescriptor &Desc,
 
 Status ExecutionEngine::validateVariant(const synth::VariantDescriptor &Desc,
                                         size_t N, Backend B) {
-  return validateImpl(Desc, N, B);
-}
-
-Status ExecutionEngine::validateImpl(const synth::VariantDescriptor &Desc,
-                                     size_t N, Backend B) {
   if (N == 0 || !Synth)
     return Status::success();
   // Sub is not associative: a tree schedule and a serial schedule disagree
@@ -548,7 +497,7 @@ Status ExecutionEngine::validateImpl(const synth::VariantDescriptor &Desc,
   long long RefI = Ref.valueI();
   long long RefIdx = Ref.index();
 
-  auto Run = runReductionImpl(**V, In, N, ExecMode::Functional, B);
+  auto Run = runReduction(**V, In, N, ExecMode::Functional, B);
   if (!Run) {
     Dev.release(Mark);
     quarantineVariant(Desc, Run.status());
@@ -560,8 +509,8 @@ Status ExecutionEngine::validateImpl(const synth::VariantDescriptor &Desc,
     // backends must agree bit-for-bit for integer and arg-reductions (the
     // native lowering shares the interpreter's exact semantics helpers)
     // and to a tight ULP-scale tolerance for summing float ops.
-    auto Oracle = runReductionImpl(**V, In, N, ExecMode::Functional,
-                                   Backend::Simulator);
+    auto Oracle =
+        runReduction(**V, In, N, ExecMode::Functional, Backend::Simulator);
     if (!Oracle) {
       Dev.release(Mark);
       quarantineVariant(Desc, Oracle.status());
@@ -681,8 +630,8 @@ ExecutionEngine::tune(const synth::VariantDescriptor &Desc, size_t N,
 
   for (const auto &[Seconds, Candidate] : Timed) {
     if (Opts.ValidateN) {
-      Status S = validateImpl(Candidate, Opts.ValidateN,
-                              Opts.TimingBackend);
+      Status S = validateVariant(Candidate, Opts.ValidateN,
+                                 Opts.TimingBackend);
       if (!S.ok()) {
         Report.Quarantined.push_back({Candidate, S});
         continue; // Fall back to the next-fastest configuration.
@@ -738,13 +687,6 @@ Expected<FaultReport>
 ExecutionEngine::faultCheck(const synth::VariantDescriptor &Desc, size_t N,
                             const sim::FaultPlan &Plan,
                             const synth::OptimizationFlags &Flags) {
-  return faultCheckImpl(Desc, N, Plan, Flags);
-}
-
-Expected<FaultReport>
-ExecutionEngine::faultCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
-                                const sim::FaultPlan &Plan,
-                                const synth::OptimizationFlags &Flags) {
   auto V = getVariant(Desc, Flags);
   if (!V)
     return V.status();
@@ -766,16 +708,16 @@ ExecutionEngine::faultCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
   // Clean reference first: simulation is deterministic, so the faulted run
   // can be compared bit-exactly — any divergence is the fault's doing.
   Machine.setFaultPlan(sim::FaultPlan());
-  auto Ref = runReductionImpl(**V, In, N, ExecMode::Functional,
-                              Backend::Simulator);
+  auto Ref =
+      runReduction(**V, In, N, ExecMode::Functional, Backend::Simulator);
   if (!Ref) {
     Dev.release(Mark);
     return Ref.status(); // Broken without any fault: a real error.
   }
 
   Machine.setFaultPlan(Plan);
-  auto Run = runReductionImpl(**V, In, N, ExecMode::Functional,
-                              Backend::Simulator);
+  auto Run =
+      runReduction(**V, In, N, ExecMode::Functional, Backend::Simulator);
   Dev.release(Mark);
 
   FaultReport Report;

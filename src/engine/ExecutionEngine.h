@@ -118,10 +118,6 @@ struct EngineOptions {
   /// Fault plan applied to every launch (inactive by default). See
   /// ExecutionEngine::setFaultPlan.
   sim::FaultPlan Fault;
-  /// Non-empty: attach a persistent DiskCache over this directory to the
-  /// variant cache (created if needed), making the cache two-tier. When
-  /// the cache is shared and already has a disk tier, it is left alone.
-  std::string CachePath;
   /// Tuned-variant packs (engine/TunedPack.h) imported at construction:
   /// every entry warm-starts the cache; quarantine records matching this
   /// engine's generation are pre-applied. Import problems are collected in
@@ -179,11 +175,11 @@ public:
          Backend B = Backend::Simulator) const;
 
   /// Imports \p Pack: every entry's artifact is validated against its key
-  /// and inserted into the (possibly shared) variant cache — and written
-  /// through to the disk tier when one is attached — without counting as a
-  /// compile; quarantine records for this engine's generation are applied.
-  /// Returns the number of variants imported. A corrupt artifact or a
-  /// key/artifact mismatch fails the import (a pack is explicit input, not
+  /// and then inserted into the (possibly shared) variant cache without
+  /// counting as a compile; quarantine records for this engine's generation
+  /// are applied. Returns the number of variants imported. A corrupt
+  /// artifact or a key/artifact mismatch fails the import and leaves the
+  /// cache and the quarantine untouched (a pack is explicit input, not
   /// best-effort cache state).
   support::Expected<unsigned> importTunedPack(const TunedPack &Pack);
   /// readTunedPack + importTunedPack.
@@ -235,25 +231,6 @@ public:
   /// (synthesis, a broken clean run) — findings are data, not errors.
   support::Expected<DiagnoseReport> diagnose(const DiagnoseRequest &Req);
 
-  /// Deprecated positional spellings, kept as shims over the request API.
-  [[deprecated("build a ReduceRequest and call run()")]]
-  support::Expected<RunResult>
-  runReduction(const synth::SynthesizedVariant &V, sim::BufferId In,
-               size_t N, sim::ExecMode Mode = sim::ExecMode::Functional,
-               Backend B = Backend::Simulator);
-
-  [[deprecated("build a ReduceRequest and call run()")]]
-  support::Expected<RunResult>
-  reduce(const synth::VariantDescriptor &Desc, sim::BufferId In, size_t N,
-         sim::ExecMode Mode = sim::ExecMode::Functional,
-         Backend B = Backend::Simulator);
-
-  [[deprecated("build a DiagnoseRequest{DiagnoseKind::Race} and call "
-               "diagnose()")]]
-  support::Expected<RaceReport>
-  raceCheck(const synth::VariantDescriptor &Desc, size_t N,
-            const synth::OptimizationFlags &Flags = {});
-
   /// Modeled seconds for \p Desc at size \p N over a scoped virtual input
   /// (Sampled mode). Infinity when the variant fails to synthesize or run —
   /// tuning loops price such variants out. Delegates to timeVariantChecked,
@@ -273,22 +250,6 @@ public:
                      unsigned RetryBudgetFactor = 8,
                      Backend B = Backend::Simulator);
 
-  /// Functional validation: runs \p Desc over \p N materialized elements
-  /// and compares against a host-computed reference. A mismatch (or any
-  /// trap) quarantines the configuration and returns a non-Ok Status
-  /// (StatusCode::WrongResult for mismatches). Passing configurations are
-  /// remembered and not re-validated. Non-associative ops (Sub) are
-  /// skipped: different schedules legitimately disagree.
-  /// With Backend::NativeCpu, validation is a three-way cross-check: the
-  /// native run must match the host reference (tolerance rules as below)
-  /// AND the simulator oracle's run of the same variant — bit-for-bit for
-  /// integer and arg-reductions, ULP-tolerance for summing float ops.
-  [[deprecated("build a DiagnoseRequest{DiagnoseKind::Validate} and call "
-               "diagnose()")]]
-  support::Status validateVariant(const synth::VariantDescriptor &Desc,
-                                  size_t N = 2048,
-                                  Backend B = Backend::Simulator);
-
   /// Hardened tunable sweep for one structural candidate: times every
   /// (BlockSize, Coarsen) configuration through timeVariantChecked, then
   /// validates winners (falling back to the next-fastest surviving
@@ -305,18 +266,6 @@ public:
   support::Expected<TuneReport>
   findBest(const std::vector<synth::VariantDescriptor> &Candidates, size_t N,
            const TuneOptions &Opts = {});
-
-  /// Fault campaign against one variant: a clean reference run, then an
-  /// identical run under \p Plan, compared bit-exactly (simulation is
-  /// deterministic, so any divergence is the fault's doing). Only a broken
-  /// *clean* run produces a Status; faulted-run failures are reported as
-  /// FaultOutcome::Trapped.
-  [[deprecated("build a DiagnoseRequest{DiagnoseKind::Fault} and call "
-               "diagnose()")]]
-  support::Expected<FaultReport>
-  faultCheck(const synth::VariantDescriptor &Desc, size_t N,
-             const sim::FaultPlan &Plan,
-             const synth::OptimizationFlags &Flags = {});
 
   /// Fault plan applied to every subsequent launch on this engine (tuning
   /// under injected faults is how the quarantine/fallback machinery is
@@ -343,20 +292,41 @@ private:
   const QuarantineRecord *
   findQuarantine(const synth::VariantDescriptor &Desc) const;
 
-  /// Shared bodies behind both the request API and the deprecated shims
-  /// (internal callers use these so the build stays deprecation-clean).
-  support::Expected<RunResult>
-  runReductionImpl(const synth::SynthesizedVariant &V, sim::BufferId In,
-                   size_t N, sim::ExecMode Mode, Backend B);
+  /// The body of both run() overloads, past admission: executes \p V over
+  /// \p N elements of \p In on backend \p B, driving the second stage
+  /// recursively.
+  support::Expected<ReduceResult>
+  runReduction(const synth::SynthesizedVariant &V, sim::BufferId In,
+               size_t N, sim::ExecMode Mode, Backend B);
+
+  /// DiagnoseKind::Race: one RaceCheck run of \p Desc over a materialized
+  /// input, every launch of the variant folded into one report.
   support::Expected<RaceReport>
-  raceCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
-                const synth::OptimizationFlags &Flags);
-  support::Status validateImpl(const synth::VariantDescriptor &Desc,
-                               size_t N, Backend B);
+  raceCheck(const synth::VariantDescriptor &Desc, size_t N,
+            const synth::OptimizationFlags &Flags);
+
+  /// DiagnoseKind::Validate. Functional validation: runs \p Desc over \p N
+  /// materialized elements and compares against a host-computed reference.
+  /// A mismatch (or any trap) quarantines the configuration and returns a
+  /// non-Ok Status (StatusCode::WrongResult for mismatches). Passing
+  /// configurations are remembered and not re-validated. Non-associative
+  /// ops (Sub) are skipped: different schedules legitimately disagree.
+  /// With Backend::NativeCpu, validation is a three-way cross-check: the
+  /// native run must match the host reference (tolerance rules as below)
+  /// AND the simulator oracle's run of the same variant — bit-for-bit for
+  /// integer and arg-reductions, ULP-tolerance for summing float ops.
+  support::Status validateVariant(const synth::VariantDescriptor &Desc,
+                                  size_t N, Backend B);
+
+  /// DiagnoseKind::Fault. Fault campaign against one variant: a clean
+  /// reference run, then an identical run under \p Plan, compared
+  /// bit-exactly (simulation is deterministic, so any divergence is the
+  /// fault's doing). Only a broken *clean* run produces a Status;
+  /// faulted-run failures are reported as FaultOutcome::Trapped.
   support::Expected<FaultReport>
-  faultCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
-                 const sim::FaultPlan &Plan,
-                 const synth::OptimizationFlags &Flags);
+  faultCheck(const synth::VariantDescriptor &Desc, size_t N,
+             const sim::FaultPlan &Plan,
+             const synth::OptimizationFlags &Flags);
   /// Request-level admission checks (routing facts, deadline). Ok when the
   /// request may proceed on this engine.
   support::Status admit(const ReduceRequest &Req) const;
@@ -373,7 +343,7 @@ private:
   std::unordered_map<uint64_t, QuarantineRecord> Quarantine;
   /// Construction-time pack-import problems (see getStartupWarnings).
   std::vector<support::Status> StartupWarnings;
-  /// Configurations that already passed validateVariant.
+  /// Configurations that already passed validateVariant (per backend).
   std::unordered_set<uint64_t> Validated;
   /// Watchdog multiplier applied by runReduction (1 except during the
   /// escalated-budget retry inside timeVariantChecked).

@@ -13,9 +13,9 @@
 /// the diagnostic entry points (race check, fault campaign, functional
 /// validation), collapsing three parallel facade methods into one.
 ///
-/// The response types (RunResult and friends) live here too so a consumer
-/// of the request API never needs the full ExecutionEngine header just to
-/// name a result.
+/// The response types (ReduceResult and friends) live here too so a
+/// consumer of the request API never needs the full ExecutionEngine header
+/// just to name a result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,24 +34,6 @@
 #include <vector>
 
 namespace tangram::engine {
-
-/// Result of one successful end-to-end reduction run (failures travel as
-/// the Status arm of Expected<RunResult>).
-struct RunResult {
-  /// The reduction result (meaningful in Functional mode only). Float
-  /// results are in `FloatValue`, integer results in `IntValue`. For
-  /// arg-reductions (ArgMin/ArgMax) `IndexValue` carries the winning
-  /// element's position (ReduceIndexSentinel when no element was folded).
-  double FloatValue = 0;
-  long long IntValue = 0;
-  long long IndexValue = 0;
-  /// Modeled end-to-end seconds.
-  double Seconds = 0;
-  sim::KernelTiming Timing;
-  /// First-stage launch detail. In RaceCheck mode the second stage's race
-  /// diagnostics/conflict counts are folded in here too.
-  sim::LaunchResult Launch;
-};
 
 /// One unit of reduction work, fully described by value. The descriptor and
 /// flags say *how* to reduce; the optional routing facts (`Op`, `Elem`,
@@ -79,9 +61,23 @@ struct ReduceRequest {
   double DeadlineSeconds = 0;
 };
 
-/// Response to a ReduceRequest. Extends the classic RunResult with
-/// provenance the serving layer reports back to clients.
-struct ReduceResult : RunResult {
+/// Response to one successful ReduceRequest (failures travel as the Status
+/// arm of Expected<ReduceResult>).
+struct ReduceResult {
+  /// The reduction result (meaningful in Functional mode only). Float
+  /// results are in `FloatValue`, integer results in `IntValue`. For
+  /// arg-reductions (ArgMin/ArgMax) `IndexValue` carries the winning
+  /// element's position (ReduceIndexSentinel when no element was folded).
+  double FloatValue = 0;
+  long long IntValue = 0;
+  long long IndexValue = 0;
+  /// End-to-end seconds: modeled on the simulator, host wall-clock on the
+  /// native backend.
+  double Seconds = 0;
+  sim::KernelTiming Timing;
+  /// First-stage launch detail. In RaceCheck mode the second stage's race
+  /// diagnostics/conflict counts are folded in here too.
+  sim::LaunchResult Launch;
   /// Backend that actually produced the value (failover may differ from
   /// the request's).
   Backend Used = Backend::Simulator;

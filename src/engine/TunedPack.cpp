@@ -6,9 +6,7 @@
 
 #include "engine/TunedPack.h"
 
-#include "engine/DiskCache.h"
 #include "support/BinaryStream.h"
-#include "synth/VariantSerializer.h"
 
 #include <cstdio>
 #include <filesystem>
@@ -206,23 +204,31 @@ Expected<TunedPack> tangram::engine::readTunedPack(const std::string &Path) {
 Expected<unsigned>
 tangram::engine::importPackEntries(VariantCache &Cache,
                                    const TunedPack &Pack) {
-  unsigned Imported = 0;
+  // Validate everything first: a pack passed its whole-file checksum, so a
+  // bad entry is a writer bug or a tampered file, and the whole pack is
+  // rejected before any entry reaches the cache.
+  std::vector<VariantCache::VariantPtr> Variants;
+  Variants.reserve(Pack.Entries.size());
   for (const TunedPackEntry &E : Pack.Entries) {
-    synth::ArtifactFailure Failure = synth::ArtifactFailure::Corrupt;
     auto V = synth::deserializeVariant(E.Artifact.data(), E.Artifact.size(),
-                                       toArtifactKey(E.Key), Failure);
+                                       toArtifactKey(E.Key));
     if (!V)
-      // A pack passed its whole-file checksum, so a bad entry is a writer
-      // bug or a tampered file — explicit input fails loudly, unlike the
-      // disk cache's silent corrupt-entry drop.
       return V.status();
-    VariantCache::VariantPtr VP(std::move(*V));
-    // Write-through: a pack import also warms the cache directory, so the
-    // *next* process warm-starts without the pack. Best effort.
-    if (const auto &Disk = Cache.getDiskCache())
-      Disk->store(E.Key, *VP);
-    Cache.insert(E.Key, std::move(VP));
-    ++Imported;
+    Variants.emplace_back(std::move(*V));
   }
-  return Imported;
+  for (size_t I = 0; I != Variants.size(); ++I)
+    Cache.insert(Pack.Entries[I].Key, std::move(Variants[I]));
+  return static_cast<unsigned>(Variants.size());
+}
+
+synth::ArtifactKey tangram::engine::toArtifactKey(const VariantKey &K) {
+  synth::ArtifactKey A;
+  A.SourceHash = K.SourceHash;
+  A.DescHash = K.DescHash;
+  A.Gen = static_cast<unsigned char>(K.Gen);
+  A.Op = static_cast<unsigned char>(K.Op);
+  A.Elem = static_cast<unsigned char>(K.Elem);
+  A.Flags = K.Flags;
+  A.BackendKind = static_cast<unsigned char>(K.BackendKind);
+  return A;
 }

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tuned-variant packs: one file bundling the winners of autotuning sweeps
-/// — each winner's full cache key, tuned descriptor, serialized compiled
-/// artifact (synth/VariantSerializer.h format, self-validating), and the
-/// tuned timing — plus the quarantine records the sweeps accumulated, so
-/// an importing engine starts with both the good news (hot variants) and
-/// the bad (configurations known to trap or misbehave on an architecture).
+/// Tuned-variant packs, the one persistence path: one file bundling the
+/// winners of autotuning sweeps — each winner's full cache key, tuned
+/// descriptor, serialized compiled artifact (synth/VariantSerializer.h
+/// format, self-validating), and the tuned timing — plus the quarantine
+/// records the sweeps accumulated, so an importing engine starts with both
+/// the good news (hot variants) and the bad (configurations known to trap
+/// or misbehave on an architecture). A restarted process needs only the
+/// tuned choice, so a pack warm start skips the tuning sweep entirely.
 ///
 /// `tgrc tune --export=PACK` writes one; `tgrc tune --import=PACK`,
 /// `EngineOptions::ImportPacks`, or the serving layer's
@@ -24,6 +26,7 @@
 
 #include "engine/VariantCache.h"
 #include "support/Expected.h"
+#include "synth/VariantSerializer.h"
 
 #include <string>
 #include <vector>
@@ -41,8 +44,8 @@ struct TunedPackEntry {
   /// Key.BackendKind). Provenance only — importers never trust it over
   /// their own measurements.
   double TunedSeconds = 0;
-  /// Serialized variant artifact, full header + payload. Validated on
-  /// import exactly like a disk-cache read.
+  /// Serialized variant artifact, full header + payload. Validated against
+  /// Key on import.
   std::vector<unsigned char> Artifact;
 };
 
@@ -67,19 +70,24 @@ support::Status writeTunedPack(const std::string &Path, const TunedPack &Pack);
 /// trailer checksum is an InvalidArgument Status — a pack file is an
 /// explicit input, so unlike a cache entry it fails loudly rather than
 /// silently importing nothing. Entry artifacts are NOT deep-validated
-/// here; importers validate each against its key on insertion.
+/// here; importers validate each against its key before insertion.
 support::Expected<TunedPack> readTunedPack(const std::string &Path);
 
-/// Deserializes every entry of \p Pack into \p Cache, writing through to
-/// its disk tier (best effort) so the cache directory is warmed too.
-/// Entries of every generation/backend are imported — a cache may be
-/// shared by sibling per-arch engines, and keys keep them apart. Any
-/// entry failing validation against its own key fails the whole import
-/// (pack files are explicit input). Quarantine records are NOT applied —
-/// they belong to an engine, not a cache; ExecutionEngine::importTunedPack
-/// and the serving shards layer that on top. Returns the entry count.
+/// Deserializes every entry of \p Pack and then inserts them all into
+/// \p Cache. Entries of every generation/backend are imported — a cache
+/// may be shared by sibling per-arch engines, and keys keep them apart.
+/// Any entry failing validation against its own key fails the whole
+/// import before anything is inserted (pack files are explicit input, and
+/// a rejected pack degrades to a cold start). Quarantine records are NOT
+/// applied — they belong to an engine, not a cache;
+/// ExecutionEngine::importTunedPack and the serving shards layer that on
+/// top. Returns the entry count.
 support::Expected<unsigned> importPackEntries(VariantCache &Cache,
                                               const TunedPack &Pack);
+
+/// VariantKey -> serializer key echo (the raw-byte spelling synth uses so
+/// it does not depend on this layer).
+synth::ArtifactKey toArtifactKey(const VariantKey &K);
 
 } // namespace tangram::engine
 

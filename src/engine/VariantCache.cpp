@@ -1,4 +1,4 @@
-//===- VariantCache.cpp - Two-tier compiled-variant cache ------------------===//
+//===- VariantCache.cpp - Content-addressed compiled-variant cache ---------===//
 //
 // Part of the tangram-reduction project. See README.md for license details.
 //
@@ -6,7 +6,6 @@
 
 #include "engine/VariantCache.h"
 
-#include "engine/DiskCache.h"
 #include "support/StableHash.h"
 
 #include <algorithm>
@@ -28,18 +27,6 @@ uint64_t VariantKey::hash() const {
 
 VariantCache::VariantCache(size_t Capacity)
     : Capacity(std::max<size_t>(1, Capacity)) {}
-
-VariantCache::VariantCache(size_t Capacity, const std::string &DiskDirectory)
-    : VariantCache(Capacity) {
-  Disk = std::make_shared<DiskCache>(DiskDirectory);
-}
-
-VariantCache::~VariantCache() = default;
-
-void VariantCache::attachDiskCache(std::shared_ptr<DiskCache> NewDisk) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Disk = std::move(NewDisk);
-}
 
 VariantCache::VariantPtr VariantCache::lookup(const VariantKey &K) {
   std::lock_guard<std::mutex> Lock(Mutex);
@@ -102,64 +89,22 @@ support::Expected<VariantCache::VariantPtr> VariantCache::getOrCompile(
   ++Misses;
   auto F = std::make_shared<Flight>();
   InFlight.emplace(K, F);
-  // Read hook and disk pointer under the lock; both are *used* outside it,
-  // like the compile itself, so independent keys keep resolving in
-  // parallel while this flight does I/O or synthesis.
+  // Read the hook under the lock; it is *used* outside it, like the
+  // compile itself, so independent keys keep resolving in parallel while
+  // this flight synthesizes.
   CompileChaosHook Hook = ChaosHook;
-  std::shared_ptr<DiskCache> DiskTier = Disk;
   Lock.unlock();
 
-  bool Compiled = false;
-  bool DiskHit = false;
-  bool DiskMissed = false;
-  bool DroppedCorrupt = false;
-  bool WriteFailed = false;
+  support::Status Chaos = Hook ? Hook() : support::Status::success();
   support::Expected<VariantPtr> Result =
-      [&]() -> support::Expected<VariantPtr> {
-    if (DiskTier) {
-      DiskCache::LoadOutcome Outcome = DiskCache::LoadOutcome::Miss;
-      auto FromDisk = DiskTier->load(K, Outcome);
-      if (!FromDisk)
-        // Key-mismatch integrity failure: fail the flight loudly. A
-        // recompile here would paper over broken content addressing.
-        return FromDisk.status();
-      if (Outcome == DiskCache::LoadOutcome::Hit) {
-        DiskHit = true;
-        return *FromDisk;
-      }
-      DiskMissed = true;
-      DroppedCorrupt = Outcome == DiskCache::LoadOutcome::Corrupt;
-    }
-    // Cold path: the chaos hook models compile failure, so it guards the
-    // actual compile only — warm starts from disk never consult it.
-    if (Hook) {
-      support::Status S = Hook();
-      if (!S.ok())
-        return S;
-    }
-    auto Fresh = Compile();
-    if (Fresh) {
-      Compiled = true;
-      if (DiskTier && *Fresh)
-        WriteFailed = !DiskTier->store(K, **Fresh);
-    }
-    return Fresh;
-  }();
+      Chaos.ok() ? Compile() : support::Expected<VariantPtr>(Chaos);
 
   Lock.lock();
-  if (DiskHit)
-    ++DiskHits;
-  if (DiskMissed)
-    ++DiskMisses;
-  if (DroppedCorrupt)
-    ++CorruptEntriesDropped;
-  if (WriteFailed)
-    ++DiskWriteFailures;
   F->Result = Result;
   F->Done = true;
   InFlight.erase(K);
   if (Result.ok()) {
-    if (Compiled && *Result) {
+    if (*Result) {
       ++VariantsCompiled;
       CompileSeconds += (*Result)->CompileSeconds;
     }
@@ -188,10 +133,6 @@ CacheStats VariantCache::getStats() const {
   S.CompileSeconds = CompileSeconds;
   S.SingleFlightWaits = SingleFlightWaits;
   S.FailedCompiles = FailedCompiles;
-  S.DiskHits = DiskHits;
-  S.DiskMisses = DiskMisses;
-  S.DiskWriteFailures = DiskWriteFailures;
-  S.CorruptEntriesDropped = CorruptEntriesDropped;
   return S;
 }
 

@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A two-tier cache from fully-resolved variant identities to synthesized,
-/// bytecode-compiled variants (including their second-stage kernels): an
-/// in-memory LRU in front of an optional persistent DiskCache of serialized
-/// artifacts (engine/DiskCache.h), so a fresh process warm-starts from what
-/// earlier processes compiled. The key is content-addressed: canonical
+/// An in-memory cache from fully-resolved variant identities to
+/// synthesized, bytecode-compiled variants (including their second-stage
+/// kernels). A fresh process warm-starts it from tuned-variant packs
+/// (engine/TunedPack.h). The key is content-addressed: canonical
 /// source hash x VariantDescriptor hash x architecture generation x
 /// reduction op x element type x optimization flags x backend — everything
 /// that can change the compiled artifact. One cache can be shared by
@@ -38,8 +37,6 @@
 
 namespace tangram::engine {
 
-class DiskCache;
-
 /// Identity of one compiled variant. Equal keys mean the synthesizer would
 /// produce byte-identical bytecode, so the cached artifact is reusable.
 struct VariantKey {
@@ -67,9 +64,9 @@ struct CacheStats {
   uint64_t Evictions = 0;
   size_t Entries = 0;
   /// Variants this cache actually compiled (monotonic; eviction and
-  /// replacement never decrease it). Disk-tier hits and pack imports warm
-  /// the cache *without* compiling, so they never increment this — a warm
-  /// process serving only known keys reports VariantsCompiled == 0.
+  /// replacement never decrease it). Pack imports warm the cache *without*
+  /// compiling, so they never increment this — a warm process serving only
+  /// known keys reports VariantsCompiled == 0.
   uint64_t VariantsCompiled = 0;
   /// Total pipeline wall-clock spent on those compiles (sum of each
   /// compiled variant's SynthesizedVariant::CompileSeconds, second stages
@@ -82,67 +79,34 @@ struct CacheStats {
   /// failure). Failures are never cached, so a key may fail several times
   /// before a later flight succeeds — a serving-health signal.
   uint64_t FailedCompiles = 0;
-  /// Persistent-tier accounting (all zero when no DiskCache is attached).
-  /// A disk hit is a memory miss resolved from disk without compiling:
-  /// Misses counts it, VariantsCompiled does not.
-  uint64_t DiskHits = 0;
-  /// Memory misses the disk tier could not serve either (including the
-  /// corrupt-entry case), so the flight compiled.
-  uint64_t DiskMisses = 0;
-  /// Artifacts that failed to persist (unserializable variant or a
-  /// filesystem error). Non-fatal: the entry stays memory-only.
-  uint64_t DiskWriteFailures = 0;
-  /// On-disk entries rejected by validation (truncated, checksum or
-  /// version mismatch) and unlinked. Each is also a DiskMiss.
-  uint64_t CorruptEntriesDropped = 0;
 };
 
-/// Bounded two-tier map of VariantKey -> synthesized variant: an in-memory
-/// LRU optionally backed by a persistent DiskCache of serialized artifacts.
-/// Entries are handed out as shared_ptr so eviction is always safe while a
-/// caller still runs a variant. Thread-safe (engines sharing one cache may
-/// live on different threads).
+/// Bounded LRU map of VariantKey -> synthesized variant. Entries are handed
+/// out as shared_ptr so eviction is always safe while a caller still runs a
+/// variant. Thread-safe (engines sharing one cache may live on different
+/// threads).
 class VariantCache {
 public:
   using VariantPtr = std::shared_ptr<const synth::SynthesizedVariant>;
 
   explicit VariantCache(size_t Capacity = 256);
-  /// Two-tier construction: attaches a DiskCache over \p DiskDirectory
-  /// (created if needed) behind the LRU.
-  VariantCache(size_t Capacity, const std::string &DiskDirectory);
-  ~VariantCache();
-
-  /// Attaches (or with null, detaches) the persistent tier. Existing
-  /// in-memory entries are not written back retroactively; subsequent
-  /// compile flights persist their results. Attach before sharing the
-  /// cache across threads.
-  void attachDiskCache(std::shared_ptr<DiskCache> Disk);
-  const std::shared_ptr<DiskCache> &getDiskCache() const { return Disk; }
 
   /// Returns the cached variant and refreshes its recency, or null on miss.
-  /// Memory tier only — the disk tier is consulted by getOrCompile, where
-  /// single-flight keeps concurrent deserializations deduplicated.
   VariantPtr lookup(const VariantKey &K);
 
   /// Inserts (or replaces) \p V under \p K, evicting the least recently
-  /// used entry when over capacity. Memory tier only; does not count as a
-  /// compile (pack imports warm caches through this without perturbing
-  /// VariantsCompiled).
+  /// used entry when over capacity. Does not count as a compile (pack
+  /// imports warm caches through this without perturbing VariantsCompiled).
   void insert(const VariantKey &K, VariantPtr V);
 
   /// Single-flight resolve: returns the cached variant when present;
-  /// otherwise the flight leader probes the disk tier (a hit is
-  /// deserialized, inserted, and shared without compiling) and only then
-  /// runs \p Compile — exactly once per key no matter how many threads
-  /// race here; latecomers block on the leader's flight and share its
-  /// outcome instead of duplicating the synthesis. Successful compiles are
-  /// inserted under \p K and persisted to the disk tier (write failures
-  /// are counted, not raised); failures are not cached (a later call
+  /// otherwise runs \p Compile exactly once per key no matter how many
+  /// threads race here; latecomers block on the leader's flight and share
+  /// its outcome instead of duplicating the synthesis. Successful compiles
+  /// are inserted under \p K; failures are not cached (a later call
   /// retries), but every waiter of a failed flight receives the leader's
-  /// Status. \p Compile and all disk I/O run without the cache lock held,
-  /// so independent keys still resolve concurrently. A disk artifact whose
-  /// embedded key contradicts \p K fails the flight with the integrity
-  /// Status — that is never downgraded to a recompile.
+  /// Status. \p Compile runs without the cache lock held, so independent
+  /// keys still resolve concurrently.
   support::Expected<VariantPtr>
   getOrCompile(const VariantKey &K,
                const std::function<support::Expected<VariantPtr>()> &Compile);
@@ -150,17 +114,16 @@ public:
   /// Chaos/test hook consulted by getOrCompile before each cold compile:
   /// a non-Ok return fails the flight with that Status instead of running
   /// \p Compile (the failure is not cached, so later flights retry). Cache
-  /// hits — including disk-tier hits — and single-flight waiters never
-  /// consult the hook; only a flight leader that actually compiles pays. Install before the cache is shared across threads
-  /// (the serving layer does this at shard construction); a null hook
-  /// restores normal compilation.
+  /// hits and single-flight waiters never consult the hook; only a flight
+  /// leader that actually compiles pays. Install before the cache is shared
+  /// across threads (the serving layer does this at shard construction); a
+  /// null hook restores normal compilation.
   using CompileChaosHook = std::function<support::Status()>;
   void setCompileChaosHook(CompileChaosHook Hook);
 
   CacheStats getStats() const;
   size_t getCapacity() const { return Capacity; }
-  /// Drops the memory tier. On-disk artifacts are untouched (they are the
-  /// point of persistence); delete the directory to cold-start.
+  /// Drops every entry (counters are kept).
   void clear();
 
 private:
@@ -188,7 +151,6 @@ private:
   LruList Lru; ///< Front = most recently used.
   std::unordered_map<VariantKey, LruList::iterator, KeyHasher> Map;
   std::unordered_map<VariantKey, std::shared_ptr<Flight>, KeyHasher> InFlight;
-  std::shared_ptr<DiskCache> Disk; ///< Null: memory-only (tier 1 alone).
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t Evictions = 0;
@@ -196,10 +158,6 @@ private:
   double CompileSeconds = 0;
   uint64_t SingleFlightWaits = 0;
   uint64_t FailedCompiles = 0;
-  uint64_t DiskHits = 0;
-  uint64_t DiskMisses = 0;
-  uint64_t DiskWriteFailures = 0;
-  uint64_t CorruptEntriesDropped = 0;
   CompileChaosHook ChaosHook;
 };
 

@@ -45,16 +45,10 @@ std::string HealthReport::renderText() const {
         static_cast<unsigned long long>(S.Stats.BreakerFastFails),
         static_cast<unsigned long long>(S.Stats.BreakerRecoveries),
         static_cast<unsigned long long>(S.Stats.ChaosInjected));
-    Out += strformat(
-        "  cache: hits=%llu misses=%llu compiled=%llu disk-hits=%llu "
-        "disk-misses=%llu write-failures=%llu corrupt-dropped=%llu\n",
-        static_cast<unsigned long long>(S.Cache.Hits),
-        static_cast<unsigned long long>(S.Cache.Misses),
-        static_cast<unsigned long long>(S.Cache.VariantsCompiled),
-        static_cast<unsigned long long>(S.Cache.DiskHits),
-        static_cast<unsigned long long>(S.Cache.DiskMisses),
-        static_cast<unsigned long long>(S.Cache.DiskWriteFailures),
-        static_cast<unsigned long long>(S.Cache.CorruptEntriesDropped));
+    Out += strformat("  cache: hits=%llu misses=%llu compiled=%llu\n",
+                     static_cast<unsigned long long>(S.Cache.Hits),
+                     static_cast<unsigned long long>(S.Cache.Misses),
+                     static_cast<unsigned long long>(S.Cache.VariantsCompiled));
     for (const std::string &W : S.Warnings)
       Out += strformat("  warning: %s\n", W.c_str());
     for (const LaneHealth &L : S.Lanes)

@@ -72,12 +72,10 @@ struct ShardHealth {
   std::string ArchName;
   size_t QueueDepth = 0; ///< Jobs waiting in the admission queue now.
   ServiceStats Stats;    ///< This shard's counters.
-  /// The shard's variant cache, both tiers: memory hits/misses/compiles
-  /// plus the persistent tier's DiskHits / DiskMisses / DiskWriteFailures
-  /// / CorruptEntriesDropped. A warm-started shard shows disk hits (or
-  /// pack-import inserts) where a cold one shows compiles.
+  /// The shard's variant cache: hits, misses and compiles. A shard
+  /// warm-started from a pack shows hits where a cold one shows compiles.
   engine::CacheStats Cache;
-  /// Startup problems (unreadable tuned pack, unusable cache directory).
+  /// Startup problems (an unreadable or rejected tuned pack).
   /// The shard degraded to a cold start instead of failing construction.
   std::vector<std::string> Warnings;
   std::vector<LaneHealth> Lanes;

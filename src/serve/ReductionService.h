@@ -69,7 +69,7 @@ struct JobSpec {
   }
 };
 
-/// A completed job. Value lanes follow engine::RunResult conventions: the
+/// A completed job. Value lanes follow engine::ReduceResult conventions: the
 /// lane matching the element type is authoritative, the other mirrors it.
 struct JobResult {
   double FloatValue = 0;
@@ -116,15 +116,10 @@ struct ServiceOptions {
   unsigned EngineThreads = 1;
   /// Capacity of the per-shard variant cache shared by its lanes.
   size_t EngineCacheCapacity = 256;
-  /// Directory of the persistent variant-cache tier (created if needed).
-  /// Every shard's cache shares it — content-addressed keys include the
-  /// generation, so per-shard entries never collide — and a shard whose
-  /// keys are already on disk opens with hot lanes: the first request per
-  /// (op, dtype) deserializes instead of paying a single-flight compile.
-  /// Empty: memory-only caches (cold start).
-  std::string CachePath;
   /// Tuned-variant packs (engine/TunedPack.h) imported into every shard's
-  /// cache at construction. A shard applies a pack's quarantine records to
+  /// cache at construction, so a shard whose keys a pack carries opens with
+  /// hot lanes: the first request per (op, dtype) is served without a
+  /// single-flight compile. A shard applies a pack's quarantine records to
   /// its lanes' engines as the lanes come up. An unreadable or invalid
   /// pack degrades that shard to a cold start; the problem is surfaced in
   /// ShardHealth::Warnings, never thrown at admission time.

@@ -23,11 +23,7 @@ using support::StatusCode;
 
 Shard::Shard(const sim::ArchDesc &Arch, const ServiceOptions &Opts)
     : Arch(Arch), Opts(Opts),
-      Cache(Opts.CachePath.empty()
-                ? std::make_shared<engine::VariantCache>(
-                      Opts.EngineCacheCapacity)
-                : std::make_shared<engine::VariantCache>(
-                      Opts.EngineCacheCapacity, Opts.CachePath)),
+      Cache(std::make_shared<engine::VariantCache>(Opts.EngineCacheCapacity)),
       Pool(std::make_shared<support::ThreadPool>(Opts.EngineThreads)) {
   // Warm start: pack entries land in the shared cache before any lane
   // exists, so the shard opens with hot lanes — the first request per

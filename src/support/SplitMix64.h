@@ -8,7 +8,7 @@
 /// The splitmix64 finalizer used everywhere the project needs a
 /// platform-independent, seedable pseudo-random mix: the simulator's fault
 /// injector, the serving layer's chaos injector, the resilient client's
-/// backoff jitter, and the disk cache's header checksums. One definition
+/// backoff jitter, and the variant artifacts' checksums. One definition
 /// keeps the deterministic schedules of all of them aligned — a (seed,
 /// ordinal) pair selects the same event sites on every platform and in
 /// every subsystem.

@@ -143,5 +143,5 @@ KernelSynthesizer::synthesizeImpl(const VariantDescriptor &Desc,
     for (const pm::PassTiming &T : Result->SecondStage->CompileStages)
       mergeStage(Result->CompileStages, T);
   }
-  return std::move(Result);
+  return Result;
 }

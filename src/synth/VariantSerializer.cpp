@@ -245,7 +245,7 @@ Status writeStage(ByteWriter &W, const SynthesizedVariant &V,
 }
 
 /// Reads one stage record. Returns null on any malformed content (the
-/// caller maps that to ArtifactFailure::Corrupt).
+/// caller reports that as corruption).
 std::unique_ptr<SynthesizedVariant> readStage(ByteReader &R, unsigned Depth) {
   if (Depth > MaxStageDepth)
     return nullptr;
@@ -458,9 +458,7 @@ tangram::synth::serializeVariant(const SynthesizedVariant &V,
 
 Expected<std::unique_ptr<SynthesizedVariant>>
 tangram::synth::deserializeVariant(const unsigned char *Data, size_t Size,
-                                   const ArtifactKey &Expect,
-                                   ArtifactFailure &Failure) {
-  Failure = ArtifactFailure::Corrupt;
+                                   const ArtifactKey &Expect) {
   if (Size < HeaderSize)
     return Status(StatusCode::InvalidArgument,
                   "variant artifact truncated before the header");
@@ -502,19 +500,16 @@ tangram::synth::deserializeVariant(const unsigned char *Data, size_t Size,
 
   // Header proven intact: a key disagreement is now the content-addressing
   // contract being violated, not bit rot.
-  if (!(Stored == Expect)) {
-    Failure = ArtifactFailure::KeyMismatch;
+  if (!(Stored == Expect))
     return Status(StatusCode::InternalError,
                   "variant artifact carries a different identity than the "
                   "key it was addressed by (content-addressing integrity "
                   "failure)");
-  }
 
   ByteReader R(Data + HeaderSize, PayloadSize);
   std::unique_ptr<SynthesizedVariant> V = readStage(R, 0);
   if (!V || R.failed() || !R.atEnd())
     return Status(StatusCode::InvalidArgument,
                   "variant artifact payload is malformed");
-  Failure = ArtifactFailure::None;
   return V;
 }

@@ -69,19 +69,6 @@ int DynamicSelector::pickCandidate(BucketState &State,
   return Pick;
 }
 
-Expected<engine::RunResult>
-DynamicSelector::reduce(engine::ExecutionEngine &E, sim::BufferId In,
-                        size_t N, sim::ExecMode Mode) {
-  engine::ReduceRequest Req;
-  Req.In = In;
-  Req.N = N;
-  Req.Mode = Mode;
-  auto Out = reduce(E, Req);
-  if (!Out)
-    return Out.status();
-  return engine::RunResult(std::move(*Out));
-}
-
 Expected<engine::ReduceResult>
 DynamicSelector::reduce(engine::ExecutionEngine &E,
                         const engine::ReduceRequest &Req) {

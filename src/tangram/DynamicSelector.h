@@ -56,12 +56,6 @@ public:
   support::Expected<engine::ReduceResult>
   reduce(engine::ExecutionEngine &E, const engine::ReduceRequest &Req);
 
-  /// Deprecated positional spelling of the request-shaped reduce().
-  [[deprecated("build a ReduceRequest and call reduce(E, Req)")]]
-  support::Expected<engine::RunResult>
-  reduce(engine::ExecutionEngine &E, sim::BufferId In, size_t N,
-         sim::ExecMode Mode = sim::ExecMode::Functional);
-
   /// Times the host CPU baseline answered instead of a GPU candidate.
   unsigned getFallbackRuns() const { return FallbackRuns; }
   /// Times the native CPU backend answered after every simulator-side

@@ -127,19 +127,6 @@ TangramReduction::diagnose(const sim::ArchDesc &Arch,
   return engineFor(Arch).diagnose(Req);
 }
 
-Expected<engine::RaceReport>
-TangramReduction::raceCheck(const VariantDescriptor &Desc,
-                            const sim::ArchDesc &Arch, size_t N) const {
-  engine::DiagnoseRequest Req;
-  Req.Kind = engine::DiagnoseKind::Race;
-  Req.Desc = Desc;
-  Req.N = N;
-  auto Report = engineFor(Arch).diagnose(Req);
-  if (!Report)
-    return Report.status();
-  return std::move(Report->Race);
-}
-
 std::string TangramReduction::renderRace(const sim::RaceDiagnostic &D) const {
   std::string Body = D.render();
   // Prefer the newer access's source position; scaffolding instructions
@@ -157,23 +144,15 @@ double TangramReduction::timeVariant(const VariantDescriptor &Desc,
                                      size_t N) const {
   // Honor the facade's timing backend so tune/timeVariant report on the
   // same clock (modeled cycles vs native host wall).
-  auto T = engineFor(Arch).timeVariantChecked(Desc, N, 8, Opts.TimingBackend);
+  auto T = engineFor(Arch).timeVariantChecked(
+      Desc, N, Opts.Tune.RetryBudgetFactor, Opts.Tune.TimingBackend);
   return T ? *T : std::numeric_limits<double>::infinity();
-}
-
-engine::TuneOptions TangramReduction::makeTuneOptions() const {
-  engine::TuneOptions TO;
-  TO.BlockSizes = Opts.BlockSizes;
-  TO.CoarsenFactors = Opts.CoarsenFactors;
-  TO.MaxElemsPerBlock = Opts.MaxElemsPerBlock;
-  TO.TimingBackend = Opts.TimingBackend;
-  return TO;
 }
 
 VariantDescriptor TangramReduction::tune(const VariantDescriptor &Desc,
                                          const sim::ArchDesc &Arch,
                                          size_t N) const {
-  auto Report = engineFor(Arch).tune(Desc, N, makeTuneOptions());
+  auto Report = engineFor(Arch).tune(Desc, N, Opts.Tune);
   // Engine misuse aside, tune always yields a report; a winnerless sweep
   // keeps the caller's descriptor (its timing prices it out downstream,
   // exactly like the unhardened tuner did).
@@ -197,20 +176,5 @@ TangramReduction::findBest(const sim::ArchDesc &Arch, size_t N) const {
 
 Expected<engine::TuneReport>
 TangramReduction::findBestReport(const sim::ArchDesc &Arch, size_t N) const {
-  return engineFor(Arch).findBest(Space.Pruned, N, makeTuneOptions());
-}
-
-Expected<engine::FaultReport>
-TangramReduction::faultCheck(const VariantDescriptor &Desc,
-                             const sim::ArchDesc &Arch, size_t N,
-                             const sim::FaultPlan &Plan) const {
-  engine::DiagnoseRequest Req;
-  Req.Kind = engine::DiagnoseKind::Fault;
-  Req.Desc = Desc;
-  Req.N = N;
-  Req.Plan = Plan;
-  auto Report = engineFor(Arch).diagnose(Req);
-  if (!Report)
-    return Report.status();
-  return std::move(Report->Fault);
+  return engineFor(Arch).findBest(Space.Pruned, N, Opts.Tune);
 }

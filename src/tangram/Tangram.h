@@ -51,15 +51,12 @@ public:
   struct Options {
     ir::ScalarType Elem = ir::ScalarType::F32;
     ReduceOp Op = ReduceOp::Add;
-    /// Tunable candidates explored by `tune` (the paper's tuning script).
-    std::vector<unsigned> BlockSizes = {64, 128, 256, 512};
-    std::vector<unsigned> CoarsenFactors = {1, 4, 16, 64};
-    /// Per-block element cap during tuning (bounds simulation cost).
-    unsigned MaxElemsPerBlock = 16384;
-    /// Backend whose clock tune/findBest rank configurations with: the
-    /// simulator's cycle model (default, the paper's methodology) or the
-    /// native CPU engine's host wall-clock (`tgrc tune --backend=native`).
-    engine::Backend TimingBackend = engine::Backend::Simulator;
+    /// Knobs of tune/findBestReport/timeVariant: the tunable grid (the
+    /// paper's tuning script), the per-block cap, validation size, retry
+    /// budget, and the backend whose clock ranks configurations (the
+    /// simulator's cycle model by default; `tgrc tune --backend=native`
+    /// ranks by native host wall-clock).
+    engine::TuneOptions Tune;
     /// Execution-layer knobs (thread pool, variant cache, RaceCheck
     /// detector limits), passed to every lazily-created per-arch engine.
     engine::EngineOptions Engine;
@@ -131,13 +128,6 @@ public:
   diagnose(const sim::ArchDesc &Arch,
            const engine::DiagnoseRequest &Req) const;
 
-  /// Deprecated positional spelling of diagnose(DiagnoseKind::Race).
-  [[deprecated("build a DiagnoseRequest{DiagnoseKind::Race} and call "
-               "diagnose()")]]
-  support::Expected<engine::RaceReport>
-  raceCheck(const synth::VariantDescriptor &Desc, const sim::ArchDesc &Arch,
-            size_t N) const;
-
   /// "file:line:col: <diagnostic>" rendering of one race against the
   /// compiled codelet source (positions fall back to the raw diagnostic
   /// when the racing instruction is synthesized scaffolding).
@@ -169,21 +159,10 @@ public:
   support::Expected<engine::TuneReport>
   findBestReport(const sim::ArchDesc &Arch, size_t N) const;
 
-  /// Deprecated positional spelling of diagnose(DiagnoseKind::Fault).
-  [[deprecated("build a DiagnoseRequest{DiagnoseKind::Fault} and call "
-               "diagnose()")]]
-  support::Expected<engine::FaultReport>
-  faultCheck(const synth::VariantDescriptor &Desc, const sim::ArchDesc &Arch,
-             size_t N, const sim::FaultPlan &Plan) const;
-
-  /// Modeled seconds for a tuned descriptor at size \p N (sampled run on a
-  /// virtual input).
+  /// Seconds for a tuned descriptor at size \p N on Options::Tune's timing
+  /// backend (modeled cycles over a virtual input on the simulator).
   double timeVariant(const synth::VariantDescriptor &Desc,
                      const sim::ArchDesc &Arch, size_t N) const;
-
-  /// The engine TuneOptions equivalent of this facade's Options (tuning
-  /// grid, per-block cap, validation size).
-  engine::TuneOptions makeTuneOptions() const;
 
 private:
   TangramReduction() = default;

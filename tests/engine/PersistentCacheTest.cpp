@@ -1,33 +1,31 @@
-//===- PersistentCacheTest.cpp - Disk tier and tuned-pack guarantees --------===//
+//===- PersistentCacheTest.cpp - Tuned-pack persistence guarantees ----------===//
 //
 // Part of the tangram-reduction project. See README.md for license details.
 //
 //===----------------------------------------------------------------------===//
 //
-// The persistence guarantees of the two-tier VariantCache and the
-// tuned-variant pack format:
-//   - cross-process reuse: a fresh cache over a populated directory serves
-//     every {op, element type, backend} combination from disk with
-//     VariantsCompiled == 0, reconstructing bit-identical bytecode that
-//     produces identical reduction results;
-//   - a corrupted artifact is a silent miss (dropped, recompiled, and
-//     republished), never an error and never a wrong answer;
-//   - an artifact whose embedded key contradicts the key that addressed it
-//     is a hard integrity failure, never downgraded to a recompile;
-//   - export -> import round-trips a tuned winner bit-identically and
-//     warm-starts an engine that never compiles, with the pack's
-//     quarantine verdicts applied.
+// The persistence guarantees of tuned-variant packs, the one path by which
+// a fresh process reuses what an earlier one compiled:
+//   - cross-process reuse: export -> writeTunedPack -> a fresh facade with
+//     Engine.ImportPacks serves every {op, element type, backend}
+//     combination with VariantsCompiled == 0, reconstructing bit-identical
+//     bytecode that produces identical reduction results;
+//   - a corrupted pack is one InvalidArgument startup warning and a cold
+//     start, never a wrong answer;
+//   - an entry whose embedded key contradicts the key it is filed under is
+//     a hard InternalError, and the rejected pack leaves the cache and the
+//     quarantine untouched;
+//   - a round trip warm-starts an engine that never compiles, with the
+//     pack's quarantine verdicts applied.
 //
 //===----------------------------------------------------------------------===//
 
-#include "engine/DiskCache.h"
 #include "engine/ExecutionEngine.h"
 #include "engine/TunedPack.h"
 #include "tangram/Tangram.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -55,38 +53,56 @@ public:
     std::error_code EC;
     fs::remove_all(Path, EC);
   }
-  std::string str() const { return Path.string(); }
+  std::string file(const char *Name) const { return (Path / Name).string(); }
   fs::path Path;
 };
 
 std::unique_ptr<TangramReduction>
-makeFacade(ReduceOp Op, ir::ScalarType Elem, const std::string &CacheDir,
+makeFacade(ReduceOp Op, ir::ScalarType Elem,
            std::vector<std::string> Packs = {}) {
   TangramReduction::Options Opts;
   Opts.Op = Op;
   Opts.Elem = Elem;
-  Opts.Engine.CachePath = CacheDir;
   Opts.Engine.ImportPacks = std::move(Packs);
   auto TR = TangramReduction::create(Opts);
   EXPECT_TRUE(TR.ok()) << TR.status().toString();
   return TR ? std::move(*TR) : nullptr;
 }
 
-/// First pruned descriptor that resolves on \p B (native lowering rejects
-/// bytecode outside the typed subset, so the sweep skips SynthesisError).
+/// First two-kernel descriptor that resolves on \p B, so the round trip
+/// covers a second stage too (the pruned set has none; native lowering
+/// rejects bytecode outside the typed subset, so the sweep skips
+/// SynthesisError).
 VariantDescriptor pickDescriptor(TangramReduction &TR,
                                  engine::ExecutionEngine &E,
                                  engine::Backend B) {
-  for (const VariantDescriptor &D : TR.getSearchSpace().Pruned) {
+  for (const VariantDescriptor &D : TR.getSearchSpace().All) {
+    if (!D.usesSecondKernel())
+      continue;
     auto V = E.getVariant(D, {}, B);
     if (V.ok())
       return D;
     EXPECT_EQ(V.code(), support::StatusCode::SynthesisError)
         << V.status().toString();
   }
-  ADD_FAILURE() << "no pruned descriptor resolves on "
+  ADD_FAILURE() << "no two-kernel descriptor resolves on "
                 << engine::getBackendName(B);
   return {};
+}
+
+/// Exports \p Descs as tuned on \p E for backend \p B and writes them to
+/// \p Path as one pack.
+void writePack(engine::ExecutionEngine &E,
+               const std::vector<VariantDescriptor> &Descs, engine::Backend B,
+               const std::string &Path) {
+  engine::TunedPack Pack;
+  for (const VariantDescriptor &D : Descs) {
+    auto Entry = E.exportTunedVariant(D, B, 0);
+    ASSERT_TRUE(Entry.ok()) << Entry.status().toString();
+    Pack.Entries.push_back(std::move(*Entry));
+  }
+  support::Status S = engine::writeTunedPack(Path, Pack);
+  ASSERT_TRUE(S.ok()) << S.toString();
 }
 
 engine::ReduceResult runOnce(engine::ExecutionEngine &E,
@@ -125,7 +141,7 @@ bytecodeHashes(const synth::SynthesizedVariant &V) {
 
 } // namespace
 
-TEST(PersistentCache, CrossProcessDiskReuseMatrix) {
+TEST(PersistentCache, CrossProcessPackReuseMatrix) {
   const ReduceOp Ops[] = {ReduceOp::Add, ReduceOp::ArgMax};
   const ir::ScalarType Elems[] = {ir::ScalarType::F32, ir::ScalarType::I64};
   const engine::Backend Backends[] = {engine::Backend::Simulator,
@@ -139,103 +155,94 @@ TEST(PersistentCache, CrossProcessDiskReuseMatrix) {
                      ir::getScalarTypeName(Elem) + "/" +
                      engine::getBackendName(B));
         TempDir Dir("matrix");
+        const std::string PackPath = Dir.file("matrix.tgrp");
 
-        // "Process" A: compile into a fresh directory.
+        // "Process" A: compile, run, and export the variant.
         uint64_t HashA, SecondA;
         engine::ReduceResult ResA;
         VariantDescriptor D;
         {
-          auto TR = makeFacade(Op, Elem, Dir.str());
+          auto TR = makeFacade(Op, Elem);
           engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
           D = pickDescriptor(*TR, E, B);
           auto V = E.getVariant(D, {}, B);
           ASSERT_TRUE(V.ok()) << V.status().toString();
           std::tie(HashA, SecondA) = bytecodeHashes(**V);
           ResA = runOnce(E, D, Elem, B, N);
-
-          engine::CacheStats S = E.getCacheStats();
-          EXPECT_GE(S.VariantsCompiled, 1u);
-          EXPECT_GE(S.DiskMisses, 1u);
-          EXPECT_EQ(S.DiskHits, 0u);
-          EXPECT_EQ(S.DiskWriteFailures, 0u);
+          EXPECT_GE(E.getCacheStats().VariantsCompiled, 1u);
+          writePack(E, {D}, B, PackPath);
         }
 
-        // "Process" B: a fresh cache over the same directory must serve
-        // the same key from disk without compiling anything.
-        {
-          auto TR = makeFacade(Op, Elem, Dir.str());
-          engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
-          auto V = E.getVariant(D, {}, B);
-          ASSERT_TRUE(V.ok()) << V.status().toString();
+        // "Process" B: a fresh facade importing the pack must serve the
+        // same key without compiling anything.
+        auto TR = makeFacade(Op, Elem, {PackPath});
+        engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
+        EXPECT_TRUE(E.getStartupWarnings().empty());
+        auto V = E.getVariant(D, {}, B);
+        ASSERT_TRUE(V.ok()) << V.status().toString();
+        EXPECT_EQ(E.getCacheStats().VariantsCompiled, 0u);
 
-          engine::CacheStats S = E.getCacheStats();
-          EXPECT_EQ(S.VariantsCompiled, 0u);
-          EXPECT_EQ(S.DiskHits, 1u);
-          EXPECT_EQ(S.CorruptEntriesDropped, 0u);
+        // Bit-identical reconstruction: same bytecode, second stage
+        // included, and identical results on every value lane.
+        auto [HashB, SecondB] = bytecodeHashes(**V);
+        EXPECT_EQ(HashA, HashB);
+        EXPECT_NE(SecondA, 0u);
+        EXPECT_EQ(SecondA, SecondB);
 
-          // Bit-identical reconstruction: same bytecode (second stage
-          // included), and byte-for-byte identical disassembly.
-          auto [HashB, SecondB] = bytecodeHashes(**V);
-          EXPECT_EQ(HashA, HashB);
-          EXPECT_EQ(SecondA, SecondB);
-
-          engine::ReduceResult ResB = runOnce(E, D, Elem, B, N);
-          EXPECT_EQ(ResA.FloatValue, ResB.FloatValue);
-          EXPECT_EQ(ResA.IntValue, ResB.IntValue);
-          EXPECT_EQ(ResA.IndexValue, ResB.IndexValue);
-          EXPECT_EQ(E.getCacheStats().VariantsCompiled, 0u);
-        }
+        engine::ReduceResult ResB = runOnce(E, D, Elem, B, N);
+        EXPECT_EQ(ResA.FloatValue, ResB.FloatValue);
+        EXPECT_EQ(ResA.IntValue, ResB.IntValue);
+        EXPECT_EQ(ResA.IndexValue, ResB.IndexValue);
+        EXPECT_EQ(E.getCacheStats().VariantsCompiled, 0u);
       }
 }
 
 TEST(PersistentCache, DisassemblyRoundTripsExactly) {
   TempDir Dir("disasm");
+  const std::string PackPath = Dir.file("disasm.tgrp");
   VariantDescriptor D;
   std::string TextA, SecondTextA;
   {
-    auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, Dir.str());
+    auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32);
     engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
-    D = TR->getSearchSpace().Pruned.front();
+    D = pickDescriptor(*TR, E, engine::Backend::Simulator);
     auto V = E.getVariant(D);
     ASSERT_TRUE(V.ok()) << V.status().toString();
+    ASSERT_TRUE((**V).SecondStage);
     TextA = (**V).Compiled.disassemble();
-    if ((**V).SecondStage)
-      SecondTextA = (**V).SecondStage->Compiled.disassemble();
+    SecondTextA = (**V).SecondStage->Compiled.disassemble();
+    writePack(E, {D}, engine::Backend::Simulator, PackPath);
   }
-  auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, Dir.str());
+  auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, {PackPath});
   engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
   auto V = E.getVariant(D);
   ASSERT_TRUE(V.ok()) << V.status().toString();
+  ASSERT_TRUE((**V).SecondStage);
   EXPECT_EQ(TextA, (**V).Compiled.disassemble());
-  if ((**V).SecondStage)
-    EXPECT_EQ(SecondTextA, (**V).SecondStage->Compiled.disassemble());
+  EXPECT_EQ(SecondTextA, (**V).SecondStage->Compiled.disassemble());
   EXPECT_EQ(E.getCacheStats().VariantsCompiled, 0u);
 }
 
 TEST(PersistentCache, CorruptionBitFlipRecompilesCleanly) {
   TempDir Dir("corrupt");
+  const std::string PackPath = Dir.file("corrupt.tgrp");
   VariantDescriptor D;
-  std::string ArtifactPath;
   uint64_t HashA;
   {
-    auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, Dir.str());
+    auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32);
     engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
     D = TR->getSearchSpace().Pruned.front();
     auto V = E.getVariant(D);
     ASSERT_TRUE(V.ok()) << V.status().toString();
     HashA = ir::stableHash((**V).Compiled);
-    auto K = E.keyFor(D);
-    ASSERT_TRUE(K.ok());
-    ArtifactPath = E.getCache().getDiskCache()->pathFor(*K);
+    writePack(E, {D}, engine::Backend::Simulator, PackPath);
   }
-  ASSERT_TRUE(fs::exists(ArtifactPath));
 
-  // Flip one byte in the middle of the artifact (payload region).
+  // Flip one byte in the middle of the pack (inside the entry's artifact).
   {
-    std::fstream F(ArtifactPath,
-                   std::ios::in | std::ios::out | std::ios::binary);
+    std::fstream F(PackPath, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(F.good());
-    const auto Size = fs::file_size(ArtifactPath);
+    const auto Size = fs::file_size(PackPath);
     ASSERT_GT(Size, 64u);
     F.seekg(static_cast<std::streamoff>(Size / 2));
     char Byte = 0;
@@ -245,73 +252,72 @@ TEST(PersistentCache, CorruptionBitFlipRecompilesCleanly) {
     F.write(&Byte, 1);
   }
 
-  // A fresh cache must treat the damaged entry as a silent miss: drop it,
-  // recompile cleanly, and republish the artifact.
-  auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, Dir.str());
+  // The damaged pack is one loud startup warning and a cold start: the
+  // engine compiles the variant afresh, to the same bytecode.
+  auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, {PackPath});
   engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
+  ASSERT_EQ(E.getStartupWarnings().size(), 1u);
+  EXPECT_EQ(E.getStartupWarnings().front().Code,
+            support::StatusCode::InvalidArgument);
+  EXPECT_EQ(E.getCacheStats().Entries, 0u);
   auto V = E.getVariant(D);
   ASSERT_TRUE(V.ok()) << V.status().toString();
   EXPECT_EQ(ir::stableHash((**V).Compiled), HashA);
-
-  engine::CacheStats S = E.getCacheStats();
-  EXPECT_EQ(S.CorruptEntriesDropped, 1u);
-  EXPECT_EQ(S.DiskMisses, 1u);
-  EXPECT_EQ(S.DiskHits, 0u);
-  EXPECT_EQ(S.VariantsCompiled, 1u);
-
-  // Republished: the next fresh cache reads it back as a normal hit.
-  auto TR2 = makeFacade(ReduceOp::Add, ir::ScalarType::F32, Dir.str());
-  engine::ExecutionEngine &E2 = TR2->engineFor(sim::getPascalP100());
-  ASSERT_TRUE(E2.getVariant(D).ok());
-  EXPECT_EQ(E2.getCacheStats().DiskHits, 1u);
-  EXPECT_EQ(E2.getCacheStats().VariantsCompiled, 0u);
+  EXPECT_EQ(E.getCacheStats().VariantsCompiled, 1u);
 }
 
 TEST(PersistentCache, KeyMismatchIsHardFailure) {
-  TempDir Dir("mismatch");
-  auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, Dir.str());
+  auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32);
   engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
   ASSERT_GE(TR->getSearchSpace().Pruned.size(), 2u);
   VariantDescriptor D1 = TR->getSearchSpace().Pruned[0];
   VariantDescriptor D2 = TR->getSearchSpace().Pruned[1];
-  ASSERT_TRUE(E.getVariant(D1).ok());
-  ASSERT_TRUE(E.getVariant(D2).ok());
-  auto K1 = E.keyFor(D1);
-  auto K2 = E.keyFor(D2);
-  ASSERT_TRUE(K1.ok() && K2.ok());
-  const auto &Disk = E.getCache().getDiskCache();
+  auto E1 = E.exportTunedVariant(D1, engine::Backend::Simulator, 0);
+  auto E2 = E.exportTunedVariant(D2, engine::Backend::Simulator, 0);
+  ASSERT_TRUE(E1.ok() && E2.ok());
 
-  // Masquerade D1's (structurally valid) artifact as D2's: the embedded
-  // key echo contradicts the key addressing the file.
-  std::error_code EC;
-  fs::copy_file(Disk->pathFor(*K1), Disk->pathFor(*K2),
-                fs::copy_options::overwrite_existing, EC);
-  ASSERT_FALSE(EC) << EC.message();
+  // A valid entry first, then one filed under D2's key that carries D1's
+  // (structurally valid) artifact: the embedded key echo contradicts the
+  // key the entry names. The pack also ships a quarantine verdict.
+  engine::TunedPack Pack;
+  Pack.Entries.push_back(*E1);
+  Pack.Entries.push_back(*E2);
+  Pack.Entries.back().Artifact = E1->Artifact;
+  Pack.Quarantined.push_back(
+      {sim::getPascalP100().Gen, D2,
+       support::Status(support::StatusCode::DeadlineExceeded, "slow")});
 
-  // Integrity failures are a hard error, never downgraded to a recompile:
-  // a hash collision or tampered store must be surfaced, not papered over.
-  auto TR2 = makeFacade(ReduceOp::Add, ir::ScalarType::F32, Dir.str());
-  engine::ExecutionEngine &E2 = TR2->engineFor(sim::getPascalP100());
-  auto V = E2.getVariant(D2);
-  ASSERT_FALSE(V.ok());
-  EXPECT_EQ(V.code(), support::StatusCode::InternalError);
-  EXPECT_EQ(E2.getCacheStats().VariantsCompiled, 0u);
+  // Integrity failures are a hard error, never downgraded to a recompile,
+  // and the rejected pack leaves the cache and the quarantine untouched.
+  auto TR2 = makeFacade(ReduceOp::Add, ir::ScalarType::F32);
+  engine::ExecutionEngine &Fresh = TR2->engineFor(sim::getPascalP100());
+  const size_t EntriesBefore = Fresh.getCacheStats().Entries;
+  auto Imported = Fresh.importTunedPack(Pack);
+  ASSERT_FALSE(Imported.ok());
+  EXPECT_EQ(Imported.code(), support::StatusCode::InternalError);
+  EXPECT_EQ(Fresh.getCacheStats().Entries, EntriesBefore);
+  EXPECT_EQ(Fresh.getCacheStats().VariantsCompiled, 0u);
+  EXPECT_FALSE(Fresh.isQuarantined(D2));
 
-  // The sibling entry is untouched.
-  ASSERT_TRUE(E2.getVariant(D1).ok());
-  EXPECT_EQ(E2.getCacheStats().DiskHits, 1u);
+  // The valid entry alone imports cleanly.
+  Pack.Entries.pop_back();
+  auto Again = Fresh.importTunedPack(Pack);
+  ASSERT_TRUE(Again.ok()) << Again.status().toString();
+  EXPECT_EQ(*Again, 1u);
+  EXPECT_EQ(Fresh.getCacheStats().Entries, EntriesBefore + 1);
+  EXPECT_TRUE(Fresh.isQuarantined(D2));
 }
 
 TEST(PersistentCache, PackRoundTripWarmStartsWithoutCompiling) {
   TempDir Dir("pack");
-  const std::string PackPath = (Dir.Path / "winner.tgrp").string();
+  const std::string PackPath = Dir.file("winner.tgrp");
   const size_t N = 2048 + 11;
 
   VariantDescriptor D, Quarantined;
   uint64_t HashA;
   engine::ReduceResult ResA;
   {
-    auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, "");
+    auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32);
     engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
     D = TR->getSearchSpace().Pruned.front();
     Quarantined = TR->getSearchSpace().Pruned.back();
@@ -333,10 +339,10 @@ TEST(PersistentCache, PackRoundTripWarmStartsWithoutCompiling) {
     ASSERT_TRUE(S.ok()) << S.toString();
   }
 
-  // Warm start from the pack alone (no cache directory): the variant is
-  // served from memory, bit-identical, with zero compiles; the pack's
-  // quarantine verdict is pre-applied.
-  auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, "", {PackPath});
+  // Warm start from the pack: the variant is served from memory,
+  // bit-identical, with zero compiles; the pack's quarantine verdict is
+  // pre-applied.
+  auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, {PackPath});
   engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
   EXPECT_TRUE(E.getStartupWarnings().empty());
   EXPECT_TRUE(E.isQuarantined(Quarantined));
@@ -358,49 +364,14 @@ TEST(PersistentCache, PackRoundTripWarmStartsWithoutCompiling) {
   EXPECT_EQ(S.Misses, 0u);
 }
 
-TEST(PersistentCache, PackImportWritesThroughToDiskTier) {
-  TempDir PackDir("packsrc");
-  TempDir CacheDir("packdst");
-  const std::string PackPath = (PackDir.Path / "p.tgrp").string();
-  VariantDescriptor D;
-  {
-    auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, "");
-    engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
-    D = TR->getSearchSpace().Pruned.front();
-    auto Entry = E.exportTunedVariant(D, engine::Backend::Simulator, 0);
-    ASSERT_TRUE(Entry.ok()) << Entry.status().toString();
-    engine::TunedPack Pack;
-    Pack.Entries.push_back(std::move(*Entry));
-    ASSERT_TRUE(engine::writeTunedPack(PackPath, Pack).ok());
-  }
-
-  // Importing into a two-tier engine persists the entry, so a later
-  // process over the same directory is warm without the pack.
-  {
-    auto TR =
-        makeFacade(ReduceOp::Add, ir::ScalarType::F32, CacheDir.str(),
-                   {PackPath});
-    engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
-    EXPECT_TRUE(E.getStartupWarnings().empty());
-    auto K = E.keyFor(D);
-    ASSERT_TRUE(K.ok());
-    EXPECT_TRUE(fs::exists(E.getCache().getDiskCache()->pathFor(*K)));
-  }
-  auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, CacheDir.str());
-  engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
-  ASSERT_TRUE(E.getVariant(D).ok());
-  EXPECT_EQ(E.getCacheStats().DiskHits, 1u);
-  EXPECT_EQ(E.getCacheStats().VariantsCompiled, 0u);
-}
-
 TEST(PersistentCache, UnreadablePackIsALoudStartupWarning) {
   TempDir Dir("badpack");
-  const std::string PackPath = (Dir.Path / "bad.tgrp").string();
+  const std::string PackPath = Dir.file("bad.tgrp");
   {
     std::ofstream F(PackPath, std::ios::binary);
     F << "this is not a tuned pack";
   }
-  auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, "", {PackPath});
+  auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32, {PackPath});
   engine::ExecutionEngine &E = TR->engineFor(sim::getPascalP100());
   ASSERT_EQ(E.getStartupWarnings().size(), 1u);
   EXPECT_EQ(E.getStartupWarnings().front().Code,

@@ -229,8 +229,8 @@ TEST(Quarantine, FindBestUnderDroppedAtomicsStaysStructured) {
   Opts.Engine.Fault.Seed = 5;
   Opts.Engine.Fault.Period = 4;
   // A small grid keeps the sweep quick; validation still covers winners.
-  Opts.BlockSizes = {128, 256};
-  Opts.CoarsenFactors = {1, 4};
+  Opts.Tune.BlockSizes = {128, 256};
+  Opts.Tune.CoarsenFactors = {1, 4};
   auto TR = TangramReduction::create(Opts);
   ASSERT_TRUE(TR.ok()) << TR.status().toString();
 

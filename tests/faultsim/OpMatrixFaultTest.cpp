@@ -132,8 +132,9 @@ TEST_P(OpMatrixFault, BitflipsClassifyStructurallyOnEveryArch) {
         EXPECT_GT(Report->FaultsInjected, 0u) << Cell;
         EXPECT_EQ(Report->GotFloat, Report->RefFloat) << Cell;
         EXPECT_EQ(Report->GotInt, Report->RefInt) << Cell;
-        if (isArgReduce(P.Op))
+        if (isArgReduce(P.Op)) {
           EXPECT_EQ(Report->GotIndex, Report->RefIndex) << Cell;
+        }
         break;
       case engine::FaultOutcome::Detected:
         EXPECT_TRUE(Report->GotFloat != Report->RefFloat ||

@@ -142,12 +142,14 @@ TEST_P(OpMatrix, RepresentativeVariantsAreRaceFreeAndHostExact) {
           E.run(engine::ReduceRequest{.Desc = *V, .In = In, .N = N});
       E.deviceRelease(Mark);
       ASSERT_TRUE(Out.ok()) << Cell << ": " << Out.status().toString();
-      if (ir::isFloatType(P.Elem))
+      if (ir::isFloatType(P.Elem)) {
         EXPECT_EQ(Out->FloatValue, Ref.valueF()) << Cell;
-      else
+      } else {
         EXPECT_EQ(Out->IntValue, Ref.valueI()) << Cell;
-      if (isArgReduce(P.Op))
+      }
+      if (isArgReduce(P.Op)) {
         EXPECT_EQ(Out->IndexValue, Ref.index()) << Cell;
+      }
     }
   }
 }

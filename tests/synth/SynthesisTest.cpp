@@ -336,6 +336,13 @@ struct SweepParam {
   size_t N;
 };
 
+/// Prints the parameter by value: gtest's default byte dump would embed
+/// Label's address in every discovered ctest name.
+void PrintTo(const SweepParam &P, std::ostream *OS) {
+  *OS << "(" << P.Label << ", " << P.BlockSize << ", " << P.Coarsen << ", "
+      << P.N << ")";
+}
+
 class BestVariantSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(BestVariantSweep, CorrectOnAllArchitectures) {

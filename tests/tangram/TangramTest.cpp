@@ -42,12 +42,12 @@ TEST(Tangram, TuneRespectsCandidateBounds) {
   VariantDescriptor V =
       *findByFigure6Label(TR.getSearchSpace(), "a");
   VariantDescriptor Tuned = TR.tune(V, sim::getMaxwellGTX980(), 1 << 20);
-  const auto &Opts = TR.getOptions();
-  EXPECT_NE(std::find(Opts.BlockSizes.begin(), Opts.BlockSizes.end(),
+  const engine::TuneOptions &Tune = TR.getOptions().Tune;
+  EXPECT_NE(std::find(Tune.BlockSizes.begin(), Tune.BlockSizes.end(),
                       Tuned.BlockSize),
-            Opts.BlockSizes.end());
+            Tune.BlockSizes.end());
   EXPECT_LE(static_cast<size_t>(Tuned.BlockSize) * Tuned.Coarsen,
-            Opts.MaxElemsPerBlock);
+            Tune.MaxElemsPerBlock);
   EXPECT_TRUE(Tuned.sameStructure(V));
 }
 

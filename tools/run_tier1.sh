@@ -31,16 +31,15 @@
 # tier1-resilience`). Skip with --no-chaos.
 #
 # The `persistent-cache-pack` labeled suite (the tier1-cache preset)
-# runs last: the two-tier VariantCache disk reuse matrix, artifact
-# corruption/integrity handling, and tuned-pack export/import round
-# trips. Also part of the plain suite; the dedicated pass pins the label
-# wiring (`ctest --preset tier1-cache`). Skip with --no-cache.
+# runs last: the tuned-pack cross-process reuse matrix, pack corruption
+# and key-mismatch handling, and export/import round trips. Also part of
+# the plain suite; the dedicated pass pins the label wiring (`ctest
+# --preset tier1-cache`). Skip with --no-cache.
 #
 #   tools/run_tier1.sh                        # RelWithDebInfo tier-1 gate
 #   tools/run_tier1.sh --preset asan-ubsan    # same suite under ASan+UBSan
 #   tools/run_tier1.sh --preset tier1-native  # native-backend suite only
 #   tools/run_tier1.sh --preset tier1-serving # serving suite only
-#   tools/run_tier1.sh asan-ubsan             # legacy positional spelling
 #
 # `tier1-native` reuses the tier1 build and runs only the `native`
 # labeled suite — the native-CPU-backend differential tests that check
@@ -72,10 +71,8 @@ while [ $# -gt 0 ]; do
       CACHE=0; shift ;;
     -h|--help)
       sed -n '2,14p' "$0"; exit 0 ;;
-    -*)
-      echo "run_tier1.sh: unknown option '$1'" >&2; exit 2 ;;
     *)
-      PRESET="$1"; shift ;;
+      echo "run_tier1.sh: unknown option '$1'" >&2; exit 2 ;;
   esac
 done
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -108,7 +105,7 @@ if command -v cmake >/dev/null 2>&1 && cmake --list-presets >/dev/null 2>&1; the
     ctest --preset tier1-resilience
   fi
   if [ "$CACHE" = 1 ] && [ "$PRESET" = tier1 ]; then
-    echo "== persistent-cache/pack suite (label: persistent-cache) =="
+    echo "== tuned-pack persistence suite (label: persistent-cache) =="
     ctest --preset tier1-cache
   fi
 else
@@ -133,7 +130,7 @@ else
     ctest --test-dir build -L resilience --output-on-failure -j 4
   fi
   if [ "$CACHE" = 1 ]; then
-    echo "== persistent-cache/pack suite (label: persistent-cache) =="
+    echo "== tuned-pack persistence suite (label: persistent-cache) =="
     ctest --test-dir build -L persistent-cache --output-on-failure -j 4
   fi
 fi

@@ -14,7 +14,6 @@
 //   tune NAME [--arch=A --n=N]   pick tunables by sampled simulation
 //        [--export=PACK]         bundle the winners (+ quarantine records)
 //        [--import=PACK]         warm-start from a previous export
-//        [--cache-dir=DIR]       persistent two-tier variant cache
 //   best [--arch=A --n=N]        fastest tuned variant per architecture
 //   racecheck [NAME|all]         dynamic race detector over the variant(s)
 //   faultcheck [NAME|all]        fault-injection matrix over the variant(s)
@@ -22,15 +21,14 @@
 //                                front-end check a user codelet source
 //   check NAME|all               functional validation of the variant(s)
 //   serve [--jobs=J --batch=K --no-coalesce --backend=sim|native]
-//         [--chaos=KIND --seed=S --period=P] [--health]
-//         [--cache-dir=DIR --import=PACK]
+//         [--chaos=KIND --seed=S --period=P] [--health] [--import=PACK]
 //                                batched serving demo over ReductionService
 //                                (jobs flow through the retry/backoff
 //                                client; --chaos injects a deterministic
 //                                failure campaign, --health prints the
 //                                breaker/degradation report plus the
-//                                two-tier cache counters; --cache-dir /
-//                                --import open the shards with hot lanes)
+//                                cache counters; --import opens the shards
+//                                with hot lanes)
 //
 // racecheck, faultcheck, and variant-shaped check are all spellings of one
 // engine entry point: engine::diagnose(DiagnoseRequest) with the matching
@@ -39,7 +37,7 @@
 // Shared options:
 //   --op=add|sub|max|min|argmax|argmin|any
 //                          reduction operator (canonical source only)
-//   --type=f32|i32|i64|f64 element type (legacy float|int accepted)
+//   --type=f32|i32|i64|f64 element type
 //   --arch=kepler|maxwell|pascal|all   target architecture(s)
 //   --n=SIZE               problem size (elements)
 //   --backend=sim|native   clock used by tune/best: the simulator's cycle
@@ -53,10 +51,6 @@
 //   --stats                pass statistics counters at exit
 //   --print-after-all      dump the unit after every pipeline pass
 //   --verify-each          run the IR verifier after every lowering pass
-//
-// Legacy spellings remain accepted: --list-variants, --emit-cuda=NAME,
-// --emit-bytecode=NAME, --racecheck[=NAME], and a bare FILE argument
-// (routed to `check`).
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,12 +87,13 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: tgrc <list|emit|tune|best|racecheck|check> [options] [args]\n"
+      "usage: tgrc <list|emit|tune|best|racecheck|faultcheck|check|serve> "
+      "[options] [args]\n"
       "  tgrc list\n"
       "  tgrc emit NAME [--bytecode]\n"
       "  tgrc tune NAME [--arch=kepler|maxwell|pascal|all] [--n=SIZE]\n"
-      "                 [--backend=sim|native] [--cache-dir=DIR]\n"
-      "                 [--export=PACK] [--import=PACK]\n"
+      "                 [--backend=sim|native] [--export=PACK] "
+      "[--import=PACK]\n"
       "  tgrc best [--arch=...] [--n=SIZE] [--backend=sim|native]\n"
       "  tgrc racecheck [NAME|all] [--arch=...] [--n=SIZE]\n"
       "  tgrc faultcheck [NAME|all] [--arch=...] [--n=SIZE]\n"
@@ -110,11 +105,11 @@ int usage() {
       "  tgrc check NAME|all [--arch=...] [--n=SIZE] [--backend=sim|native]\n"
       "  tgrc serve [--jobs=J] [--batch=K] [--no-coalesce] [--n=SIZE]\n"
       "             [--arch=...] [--backend=sim|native] [--health]\n"
-      "             [--cache-dir=DIR] [--import=PACK]\n"
+      "             [--import=PACK]\n"
       "             [--chaos=compile-fail|slow-worker|spurious-reject|\n"
       "              quarantine-storm|queue-delay] [--seed=S] [--period=P]\n"
       "shared options: --op=add|sub|max|min|argmax|argmin|any\n"
-      "                --type=f32|i32|i64|f64 (legacy: float|int)\n"
+      "                --type=f32|i32|i64|f64\n"
       "                --time-passes --stats --print-after-all "
       "--verify-each\n");
   return 2;
@@ -142,18 +137,12 @@ struct DriverOptions {
   /// report toggle.
   std::string ServeChaos;
   bool ServeHealth = false;
-  /// Persistent-cache knobs, shared by tune and serve: --cache-dir=DIR
-  /// attaches the two-tier variant cache's disk tier, --import=PACK
-  /// warm-starts from tuned-variant packs (repeatable), and tune's
-  /// --export=PACK bundles the sweep's winners into one.
-  std::string CacheDir;
+  /// Tuned-pack knobs: --import=PACK warm-starts tune and serve from
+  /// tuned-variant packs (repeatable), and tune's --export=PACK bundles the
+  /// sweep's winners into one.
   std::string PackExport;
   std::vector<std::string> PackImports;
   std::vector<std::string> Positional;
-
-  // Legacy flag spellings, mapped onto subcommands in main().
-  std::string LegacyEmitCuda, LegacyEmitBytecode, LegacyRaceCheck;
-  bool LegacyList = false;
 };
 
 bool parseArchSet(const std::string &Name, std::vector<sim::ArchDesc> &Out) {
@@ -191,16 +180,6 @@ bool parseOptions(int Argc, char **Argv, DriverOptions &O) {
       O.Create.PM.VerifyEach = true;
     else if (!std::strcmp(Arg, "--bytecode"))
       O.Bytecode = true;
-    else if (!std::strcmp(Arg, "--list-variants"))
-      O.LegacyList = true;
-    else if (!std::strncmp(Arg, "--emit-cuda=", 12))
-      O.LegacyEmitCuda = Arg + 12;
-    else if (!std::strncmp(Arg, "--emit-bytecode=", 16))
-      O.LegacyEmitBytecode = Arg + 16;
-    else if (!std::strcmp(Arg, "--racecheck"))
-      O.LegacyRaceCheck = "all";
-    else if (!std::strncmp(Arg, "--racecheck=", 12))
-      O.LegacyRaceCheck = Arg + 12;
     else if (!std::strncmp(Arg, "--arch=", 7)) {
       if (!parseArchSet(Arg + 7, O.Archs))
         return false;
@@ -232,10 +211,6 @@ bool parseOptions(int Argc, char **Argv, DriverOptions &O) {
       O.ServeChaos = Arg + 8;
     } else if (!std::strcmp(Arg, "--health")) {
       O.ServeHealth = true;
-    } else if (!std::strncmp(Arg, "--cache-dir=", 12)) {
-      if (!Arg[12])
-        return false;
-      O.CacheDir = Arg + 12;
     } else if (!std::strncmp(Arg, "--export=", 9)) {
       if (!Arg[9])
         return false;
@@ -266,9 +241,9 @@ bool parseOptions(int Argc, char **Argv, DriverOptions &O) {
     } else if (!std::strncmp(Arg, "--backend=", 10)) {
       std::string B = Arg + 10;
       if (B == "sim" || B == "simulator")
-        O.Create.TimingBackend = engine::Backend::Simulator;
+        O.Create.Tune.TimingBackend = engine::Backend::Simulator;
       else if (B == "native")
-        O.Create.TimingBackend = engine::Backend::NativeCpu;
+        O.Create.Tune.TimingBackend = engine::Backend::NativeCpu;
       else
         return false;
     } else if (!std::strncmp(Arg, "--op=", 5)) {
@@ -276,14 +251,10 @@ bool parseOptions(int Argc, char **Argv, DriverOptions &O) {
       if (!parseReduceOp(Arg + 5, O.Create.Op))
         return false;
     } else if (!std::strncmp(Arg, "--type=", 7)) {
-      std::string Ty = Arg + 7;
-      // Legacy spellings stay accepted alongside the OpDef table's
-      // f32/i32/i64/f64 names.
-      if (Ty == "float")
-        Ty = "f32";
-      else if (Ty == "int")
-        Ty = "i32";
-      if (!reduce::parseScalarType(Ty, O.Create.Elem))
+      // The OpDef table's own spellings only: the C keywords it also
+      // parses (float, int, ...) are not CLI spellings.
+      if (!reduce::parseScalarType(Arg + 7, O.Create.Elem) ||
+          std::strcmp(Arg + 7, reduce::getScalarTypeSpelling(O.Create.Elem)))
         return false;
     } else if (Arg[0] == '-')
       return false;
@@ -529,8 +500,8 @@ bool exportTunedEntry(const TangramReduction &TR, const sim::ArchDesc &Arch,
                       const VariantDescriptor &Tuned, double Seconds,
                       engine::TunedPack &Pack) {
   engine::ExecutionEngine &E = TR.engineFor(Arch);
-  auto Entry = E.exportTunedVariant(Tuned, TR.getOptions().TimingBackend,
-                                    Seconds);
+  auto Entry = E.exportTunedVariant(
+      Tuned, TR.getOptions().Tune.TimingBackend, Seconds);
   if (!Entry) {
     std::fprintf(stderr, "tgrc: cannot export tuned variant for %s: %s\n",
                  Arch.Name.c_str(), Entry.status().toString().c_str());
@@ -554,9 +525,8 @@ void printStartupWarnings(const TangramReduction &TR,
 
 int cmdTune(const DriverOptions &Opts, const std::string &Name) {
   DriverOptions O = Opts;
-  // Persistent tier + warm start: every lazily-created per-arch engine
-  // shares one cache; the first attaches the disk tier and imports packs.
-  O.Create.Engine.CachePath = O.CacheDir;
+  // Warm start: every lazily-created per-arch engine shares one cache and
+  // imports the packs into it.
   O.Create.Engine.ImportPacks = O.PackImports;
   // `tune FILE.tgr` compiles that source instead of the canonical
   // spectrum and tunes its whole variant portfolio per architecture.
@@ -583,7 +553,7 @@ int cmdTune(const DriverOptions &Opts, const std::string &Name) {
   // Native wall-clock and simulator-modeled microseconds must never be
   // conflated in logs, so the backend tags every tuned line.
   const char *BackendTag =
-      engine::getBackendName(TR->getOptions().TimingBackend);
+      engine::getBackendName(TR->getOptions().Tune.TimingBackend);
   engine::TunedPack Pack;
   if (IsFile) {
     for (const sim::ArchDesc &Arch : O.Archs) {
@@ -813,7 +783,7 @@ int cmdCheckVariant(const DriverOptions &O, const std::string &Name) {
       Req.Kind = engine::DiagnoseKind::Validate;
       Req.Desc = *V;
       Req.N = O.N;
-      Req.BackendKind = O.Create.TimingBackend;
+      Req.BackendKind = O.Create.Tune.TimingBackend;
       auto Report = TR->diagnose(Arch, Req);
       if (!Report) {
         std::fprintf(stderr, "tgrc: %s: %s\n", V->getName().c_str(),
@@ -843,15 +813,13 @@ int cmdCheckVariant(const DriverOptions &O, const std::string &Name) {
 /// per-shard breaker/degradation report.
 int cmdServe(const DriverOptions &O) {
   serve::ServiceOptions SO;
-  SO.BackendKind = O.Create.TimingBackend;
+  SO.BackendKind = O.Create.Tune.TimingBackend;
   SO.Coalesce = O.ServeCoalesce;
   SO.MaxBatchJobs = O.ServeBatch;
   SO.QueueDepth = std::max<size_t>(O.ServeJobs, 1024);
   SO.Archs = O.Archs;
-  // Warm start: with a populated --cache-dir (or an --import pack) the
-  // shards open with hot lanes — first jobs deserialize artifacts instead
-  // of paying single-flight compiles. --health shows the disk-tier split.
-  SO.CachePath = O.CacheDir;
+  // Warm start: with an --import pack the shards open with hot lanes —
+  // first jobs are served without single-flight compiles.
   SO.ImportPacks = O.PackImports;
   if (!O.ServeChaos.empty()) {
     serve::parseChaosKind(O.ServeChaos, SO.Chaos.Kind);
@@ -963,34 +931,16 @@ int main(int Argc, char **Argv) {
   if (!parseOptions(Argc, Argv, O))
     return usage();
 
-  std::string Cmd;
+  // The subcommand comes first; without one, `tgrc [flags]` lists.
+  std::string Cmd = "list";
   if (!O.Positional.empty()) {
     const std::string &First = O.Positional.front();
-    if (First == "list" || First == "emit" || First == "tune" ||
-        First == "best" || First == "racecheck" || First == "faultcheck" ||
-        First == "check" || First == "serve") {
-      Cmd = First;
-      O.Positional.erase(O.Positional.begin());
-    }
-  }
-
-  // Map legacy flag spellings onto subcommands.
-  if (Cmd.empty()) {
-    if (!O.LegacyEmitCuda.empty()) {
-      Cmd = "emit";
-      O.Positional = {O.LegacyEmitCuda};
-    } else if (!O.LegacyEmitBytecode.empty()) {
-      Cmd = "emit";
-      O.Bytecode = true;
-      O.Positional = {O.LegacyEmitBytecode};
-    } else if (!O.LegacyRaceCheck.empty()) {
-      Cmd = "racecheck";
-      O.Positional = {O.LegacyRaceCheck};
-    } else if (!O.Positional.empty()) {
-      Cmd = "check"; // bare FILE argument
-    } else {
-      Cmd = "list"; // includes legacy --list-variants / dump flags
-    }
+    if (First != "list" && First != "emit" && First != "tune" &&
+        First != "best" && First != "racecheck" && First != "faultcheck" &&
+        First != "check" && First != "serve")
+      return usage();
+    Cmd = First;
+    O.Positional.erase(O.Positional.begin());
   }
 
   // Default architectures: tune/best sweep all three generations (the
