@@ -183,7 +183,8 @@ bool exportWinnerPack(const Config &C, const std::string &PackPath) {
   engine::TunedPack Pack;
   Pack.Entries.push_back(std::move(*Entry));
   for (const engine::QuarantineRecord &Q : Report->Quarantined)
-    Pack.Quarantined.push_back({Arch.Gen, Q.Desc, Q.Why});
+    Pack.Quarantined.push_back(
+        {Arch.Gen, Report->Op, Report->Elem, Q.Desc, Q.Why});
   support::Status S = engine::writeTunedPack(PackPath, Pack);
   if (!S.ok())
     std::fprintf(stderr, "error: %s\n", S.toString().c_str());

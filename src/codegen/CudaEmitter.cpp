@@ -955,8 +955,7 @@ private:
        << "));\n";
     OS << "  cudaMemset(" << Params[0]->Name << ", 0, sizeof(" << RetTy
        << "));\n";
-    OS << "  " << K.getName() << "<<<" << Options.GridExpr << ", "
-       << Options.BlockExpr << ", " << Options.BlockExpr << " * sizeof("
+    OS << "  " << K.getName() << "<<<grid_dim, block_dim, block_dim * sizeof("
        << RetTy << ")>>>(";
     First = true;
     for (const auto &P : Params) {

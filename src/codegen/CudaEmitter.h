@@ -29,11 +29,9 @@ struct CudaEmitOptions {
   /// Emit `__shfl_down_sync(0xffffffff, ...)` (CUDA 9+) instead of the
   /// legacy `__shfl_down(...)` spelling the paper's listings use.
   bool SyncShuffles = false;
-  /// Emit a Reduce_Grid-style host wrapper after the kernel.
+  /// Emit a Reduce_Grid-style host wrapper after the kernel, launching
+  /// over `grid_dim` blocks of `block_dim` threads.
   bool EmitHostWrapper = false;
-  /// Grid/block expressions used by the host wrapper.
-  std::string GridExpr = "grid_dim";
-  std::string BlockExpr = "block_dim";
 };
 
 /// Renders \p K as CUDA C.

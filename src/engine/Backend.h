@@ -42,6 +42,11 @@ inline const char *getBackendName(Backend B) {
   return "unknown";
 }
 
+/// The backend a failover chain tries when \p B cannot answer.
+inline Backend getOtherBackend(Backend B) {
+  return B == Backend::Simulator ? Backend::NativeCpu : Backend::Simulator;
+}
+
 } // namespace tangram::engine
 
 #endif // TANGRAM_ENGINE_BACKEND_H

@@ -42,6 +42,38 @@ LaunchConfig tangram::engine::makeLaunchConfig(
   return Config;
 }
 
+Expected<ReduceResult> tangram::engine::hostReduce(Device &Dev, BufferId In,
+                                                   size_t N, ReduceOp Op,
+                                                   ir::ScalarType Elem) {
+  if (In >= Dev.mark())
+    return Status(StatusCode::InvalidArgument,
+                  "host reduce: invalid input buffer id");
+  if (N > Dev.get(In).size())
+    return Status(StatusCode::InvalidArgument,
+                  "host reduce: N exceeds the input buffer length");
+  const double Start = steadySeconds();
+  reduce::HostAccumulator Acc(Op, Elem);
+  for (size_t I = 0; I != N; ++I)
+    Acc.accumulate(Dev.readFloat(In, I), Dev.readInt(In, I),
+                   static_cast<long long>(I));
+  // As in a kernel's result cell, the element type's lane is authoritative
+  // (an F32 result is a float) and the other lane mirrors it.
+  ReduceResult Out;
+  if (ir::isFloatType(Elem)) {
+    Out.FloatValue = Elem == ir::ScalarType::F64
+                         ? Acc.valueF()
+                         : static_cast<float>(Acc.valueF());
+    Out.IntValue = ir::saturatingIntOf(Out.FloatValue);
+  } else {
+    Out.IntValue = ir::wrapToType(Elem, Acc.valueI());
+    Out.FloatValue = static_cast<double>(Out.IntValue);
+  }
+  Out.IndexValue = Acc.index();
+  Out.Seconds = steadySeconds() - Start;
+  Out.Used = Backend::NativeCpu;
+  return Out;
+}
+
 ExecutionEngine::ExecutionEngine(const ArchDesc &Arch, EngineOptions Opts)
     : Arch(Arch),
       Pool(Opts.Pool ? std::move(Opts.Pool)
@@ -49,26 +81,36 @@ ExecutionEngine::ExecutionEngine(const ArchDesc &Arch, EngineOptions Opts)
                            Opts.ThreadCount)),
       Cache(Opts.Cache ? std::move(Opts.Cache)
                        : std::make_shared<VariantCache>(Opts.CacheCapacity)),
-      Machine(Dev, this->Arch, Pool.get()), NativeM(Dev, Pool.get()) {
-  Machine.setRaceCheckOptions(Opts.RaceCheck);
+      Machine(Dev, this->Arch, Pool.get()), NativeM(Dev, Pool.get()),
+      PendingPacks(std::move(Opts.ImportPacks)) {
   Machine.setFaultPlan(Opts.Fault);
-  // Warm start: pack entries go straight into the cache, so the first
-  // request on an imported key never pays a compile flight. Problems
-  // degrade to a cold start, recorded for the caller to surface.
-  for (const std::string &Path : Opts.ImportPacks) {
-    auto Imported = importTunedPackFile(Path);
-    if (!Imported)
-      StartupWarnings.push_back(Imported.status());
-  }
 }
 
 void ExecutionEngine::attachCompiler(const synth::KernelSynthesizer &S,
                                      const std::string &SourceText) {
   Synth = &S;
   SourceHash = stableHashString(SourceText);
+  // Warm start: pack entries go straight into the cache, so the first
+  // request on an imported key never pays a compile flight. It waits for
+  // the compiler because quarantine records apply per (op, elem), which
+  // the synthesizer fixes. Problems degrade to a cold start, recorded for
+  // the caller to surface.
+  for (const std::string &Path : PendingPacks) {
+    auto Imported = importTunedPackFile(Path);
+    if (!Imported)
+      StartupWarnings.push_back(Imported.status());
+  }
+  PendingPacks.clear();
 }
 
 namespace {
+
+/// Winners are validated against a host reference over this many elements
+/// before a sweep declares them best.
+constexpr size_t ValidateN = 2048;
+/// A DeadlineExceeded timing run gets one retry at budget x this factor,
+/// to tell a genuinely slow configuration from a livelocked one.
+constexpr unsigned RetryBudgetFactor = 8;
 
 /// Lowers \p V (and its second stage, recursively) to native form in
 /// place. Any stage failing plane inference fails the whole chain — mixed
@@ -145,14 +187,18 @@ ExecutionEngine::getVariant(const synth::VariantDescriptor &Desc,
 }
 
 Expected<unsigned> ExecutionEngine::importTunedPack(const TunedPack &Pack) {
+  if (!Synth)
+    return Status(StatusCode::InvalidArgument,
+                  "no compiler attached to the execution engine");
   auto Imported = importPackEntries(*Cache, Pack);
   if (!Imported)
     return Imported.status();
   // The engine-level half of an import: pre-apply the pack's quarantine
-  // verdicts for this architecture, so known-bad configurations are never
-  // rediscovered under live traffic.
+  // verdicts for this architecture and (op, elem), so known-bad
+  // configurations are never rediscovered under live traffic.
   for (const PackQuarantine &Q : Pack.Quarantined)
-    if (Q.Gen == Arch.Gen && !isQuarantined(Q.Desc))
+    if (Q.Gen == Arch.Gen && Q.Op == Synth->getOp() &&
+        Q.Elem == Synth->getElem() && !isQuarantined(Q.Desc))
       quarantineVariant(Q.Desc, Q.Why);
   return Imported;
 }
@@ -414,8 +460,7 @@ double ExecutionEngine::timeVariant(const synth::VariantDescriptor &Desc,
 
 Expected<double>
 ExecutionEngine::timeVariantChecked(const synth::VariantDescriptor &Desc,
-                                    size_t N, unsigned RetryBudgetFactor,
-                                    Backend B) {
+                                    size_t N, Backend B) {
   if (const QuarantineRecord *Q = findQuarantine(Desc))
     return Q->Why;
   auto V = getVariant(Desc, {}, B);
@@ -435,8 +480,7 @@ ExecutionEngine::timeVariantChecked(const synth::VariantDescriptor &Desc,
   ExecMode Mode =
       B == Backend::NativeCpu ? ExecMode::Functional : ExecMode::Sampled;
   auto Out = runReduction(**V, In, N, Mode, B);
-  if (!Out && Out.status().Code == StatusCode::DeadlineExceeded &&
-      RetryBudgetFactor > 1) {
+  if (!Out && Out.status().Code == StatusCode::DeadlineExceeded) {
     // One retry at an escalated budget: a genuinely slow configuration
     // finishes and survives; a livelocked one trips the watchdog again
     // and is quarantined below.
@@ -611,8 +655,7 @@ ExecutionEngine::tune(const synth::VariantDescriptor &Desc, size_t N,
       Candidate.BlockSize = Block;
       Candidate.Coarsen = C;
       ++Report.ConfigsTimed;
-      auto T = timeVariantChecked(Candidate, N, Opts.RetryBudgetFactor,
-                                  Opts.TimingBackend);
+      auto T = timeVariantChecked(Candidate, N, Opts.TimingBackend);
       if (!T) {
         Report.Quarantined.push_back({Candidate, T.status()});
         continue;
@@ -629,13 +672,10 @@ ExecutionEngine::tune(const synth::VariantDescriptor &Desc, size_t N,
                    });
 
   for (const auto &[Seconds, Candidate] : Timed) {
-    if (Opts.ValidateN) {
-      Status S = validateVariant(Candidate, Opts.ValidateN,
-                                 Opts.TimingBackend);
-      if (!S.ok()) {
-        Report.Quarantined.push_back({Candidate, S});
-        continue; // Fall back to the next-fastest configuration.
-      }
+    Status S = validateVariant(Candidate, ValidateN, Opts.TimingBackend);
+    if (!S.ok()) {
+      Report.Quarantined.push_back({Candidate, S});
+      continue; // Fall back to the next-fastest configuration.
     }
     Report.Best = Candidate;
     Report.BestSeconds = Seconds;

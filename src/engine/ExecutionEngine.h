@@ -30,7 +30,6 @@
 #include "engine/TunedPack.h"
 #include "engine/VariantCache.h"
 #include "gpusim/PerfModel.h"
-#include "gpusim/RaceDetector.h"
 #include "gpusim/SimtMachine.h"
 #include "native/NativeMachine.h"
 #include "support/Expected.h"
@@ -51,6 +50,16 @@ namespace tangram::engine {
 /// lowering's issue count, yet finite).
 sim::LaunchConfig makeLaunchConfig(const synth::SynthesizedVariant &V,
                                    size_t N);
+
+/// The last resort of every failover chain, for when no backend can run a
+/// descriptor: a plain host loop folding elements [0, N) of \p In in index
+/// order under (\p Op, \p Elem). The non-authoritative value lane mirrors
+/// the other, as in a kernel's result. Used is Backend::NativeCpu (the CPU
+/// tier) and Seconds the loop's host wall-clock. A Status only for an
+/// invalid buffer or an N past its end.
+support::Expected<ReduceResult> hostReduce(sim::Device &Dev, sim::BufferId In,
+                                           size_t N, ReduceOp Op,
+                                           ir::ScalarType Elem);
 
 /// Why one variant configuration was pulled from tuning.
 struct QuarantineRecord {
@@ -87,13 +96,6 @@ struct TuneOptions {
   std::vector<unsigned> CoarsenFactors = {1, 4, 16, 64};
   /// Per-block element cap during tuning (bounds simulation cost).
   unsigned MaxElemsPerBlock = 16384;
-  /// Winning configurations are validated against a host reference over
-  /// this many elements before being declared best (0 disables).
-  size_t ValidateN = 2048;
-  /// A DeadlineExceeded run gets one retry at budget x this factor, to
-  /// tell a genuinely slow configuration from a livelocked one (<= 1
-  /// disables the retry).
-  unsigned RetryBudgetFactor = 8;
   /// Backend whose clock ranks configurations: the simulator's cycle model
   /// (the paper's Fig. 6/7 methodology) or the native CPU engine's host
   /// wall-clock (what a CPU serving deployment pays). Winners are
@@ -113,16 +115,14 @@ struct EngineOptions {
   std::shared_ptr<VariantCache> Cache;
   /// Share an existing pool across engines.
   std::shared_ptr<support::ThreadPool> Pool;
-  /// Detector knobs applied to ExecMode::RaceCheck launches.
-  sim::RaceCheckOptions RaceCheck;
   /// Fault plan applied to every launch (inactive by default). See
   /// ExecutionEngine::setFaultPlan.
   sim::FaultPlan Fault;
-  /// Tuned-variant packs (engine/TunedPack.h) imported at construction:
-  /// every entry warm-starts the cache; quarantine records matching this
-  /// engine's generation are pre-applied. Import problems are collected in
-  /// getStartupWarnings(), never thrown — an unreadable pack degrades to a
-  /// cold start.
+  /// Tuned-variant packs (engine/TunedPack.h) imported when the compiler
+  /// is attached: every entry warm-starts the cache; quarantine records
+  /// matching this engine's generation, op and element type are
+  /// pre-applied. Import problems are collected in getStartupWarnings(),
+  /// never thrown — an unreadable pack degrades to a cold start.
   std::vector<std::string> ImportPacks;
 };
 
@@ -135,7 +135,8 @@ public:
 
   /// Attaches the synthesizer used to resolve descriptor cache misses.
   /// \p SourceText is the canonical source the synthesizer was built from;
-  /// its hash becomes part of every cache key.
+  /// its hash becomes part of every cache key. Imports
+  /// EngineOptions::ImportPacks.
   void attachCompiler(const synth::KernelSynthesizer &Synth,
                       const std::string &SourceText);
   bool hasCompiler() const { return Synth != nullptr; }
@@ -145,7 +146,6 @@ public:
   const sim::ArchDesc &getArch() const { return Arch; }
   support::ThreadPool &getThreadPool() { return *Pool; }
   unsigned getThreadCount() const { return Pool->getThreadCount(); }
-  VariantCache &getCache() { return *Cache; }
   const std::shared_ptr<VariantCache> &getCachePtr() const { return Cache; }
   CacheStats getCacheStats() const { return Cache->getStats(); }
 
@@ -176,11 +176,12 @@ public:
 
   /// Imports \p Pack: every entry's artifact is validated against its key
   /// and then inserted into the (possibly shared) variant cache without
-  /// counting as a compile; quarantine records for this engine's generation
-  /// are applied. Returns the number of variants imported. A corrupt
-  /// artifact or a key/artifact mismatch fails the import and leaves the
-  /// cache and the quarantine untouched (a pack is explicit input, not
-  /// best-effort cache state).
+  /// counting as a compile; quarantine records for this engine's
+  /// generation, op and element type are applied. Returns the number of
+  /// variants imported. A corrupt artifact or a key/artifact mismatch fails
+  /// the import and leaves the cache and the quarantine untouched (a pack
+  /// is explicit input, not best-effort cache state). Requires
+  /// attachCompiler().
   support::Expected<unsigned> importTunedPack(const TunedPack &Pack);
   /// readTunedPack + importTunedPack.
   support::Expected<unsigned> importTunedPackFile(const std::string &Path);
@@ -239,7 +240,8 @@ public:
 
   /// Hardened timing: skips configurations already in quarantine, runs with
   /// the per-variant watchdog budget, retries DeadlineExceeded once at
-  /// budget x \p RetryBudgetFactor, and quarantines configurations that
+  /// eight times the budget (a genuinely slow configuration finishes, a
+  /// livelocked one traps again), and quarantines configurations that
   /// still trap/timeout. The Status names why a run was priced out.
   /// Backend::Simulator times the cycle model (Sampled mode);
   /// Backend::NativeCpu times real host execution — the second run is
@@ -247,15 +249,15 @@ public:
   /// serving loop.
   support::Expected<double>
   timeVariantChecked(const synth::VariantDescriptor &Desc, size_t N,
-                     unsigned RetryBudgetFactor = 8,
                      Backend B = Backend::Simulator);
 
   /// Hardened tunable sweep for one structural candidate: times every
   /// (BlockSize, Coarsen) configuration through timeVariantChecked, then
-  /// validates winners (falling back to the next-fastest surviving
-  /// configuration when a winner fails validation). Never hangs: every run
-  /// is budgeted. Returns a report even when nothing survives
-  /// (hasWinner() == false); a Status only for engine misuse (no compiler).
+  /// validates winners against a host reference over 2048 elements
+  /// (falling back to the next-fastest surviving configuration when a
+  /// winner fails validation). Never hangs: every run is budgeted. Returns
+  /// a report even when nothing survives (hasWinner() == false); a Status
+  /// only for engine misuse (no compiler).
   support::Expected<TuneReport> tune(const synth::VariantDescriptor &Desc,
                                      size_t N, const TuneOptions &Opts = {});
 
@@ -341,6 +343,8 @@ private:
   uint64_t SourceHash = 0;
   /// Quarantined configurations, keyed by VariantDescriptor::stableHash().
   std::unordered_map<uint64_t, QuarantineRecord> Quarantine;
+  /// EngineOptions::ImportPacks, imported by attachCompiler().
+  std::vector<std::string> PendingPacks;
   /// Construction-time pack-import problems (see getStartupWarnings).
   std::vector<support::Status> StartupWarnings;
   /// Configurations that already passed validateVariant (per backend).

@@ -26,7 +26,7 @@ using support::StatusCode;
 namespace {
 
 constexpr unsigned char PackMagic[4] = {'T', 'G', 'R', 'P'};
-constexpr uint32_t PackVersion = 1;
+constexpr uint32_t PackVersion = 2;
 /// Caps what a corrupted count field can make the reader allocate.
 constexpr uint32_t MaxPackRecords = 1u << 20;
 
@@ -94,6 +94,8 @@ Status tangram::engine::writeTunedPack(const std::string &Path,
   W.u32(static_cast<uint32_t>(Pack.Quarantined.size()));
   for (const PackQuarantine &Q : Pack.Quarantined) {
     W.u8(static_cast<unsigned char>(Q.Gen));
+    W.u8(static_cast<unsigned char>(Q.Op));
+    W.u8(static_cast<unsigned char>(Q.Elem));
     writeDesc(W, Q.Desc);
     W.u8(static_cast<unsigned char>(Q.Why.Code));
     W.str(Q.Why.Message);
@@ -185,6 +187,8 @@ Expected<TunedPack> tangram::engine::readTunedPack(const std::string &Path) {
   for (uint32_t I = 0; I != QuarantineCount; ++I) {
     PackQuarantine Q;
     Q.Gen = static_cast<sim::ArchGeneration>(R.u8());
+    Q.Op = static_cast<ReduceOp>(R.u8());
+    Q.Elem = static_cast<ir::ScalarType>(R.u8());
     Q.Desc = readDesc(R);
     unsigned char Code = R.u8();
     if (Code > static_cast<unsigned char>(StatusCode::Unavailable))

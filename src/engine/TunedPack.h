@@ -50,10 +50,14 @@ struct TunedPackEntry {
 };
 
 /// A quarantine verdict worth shipping with the winners: importing engines
-/// of the same generation pre-quarantine these configurations instead of
-/// rediscovering the trap under live traffic.
+/// of the same generation and (op, element type) pre-quarantine these
+/// configurations instead of rediscovering the trap under live traffic. A
+/// verdict is scoped like the variant it names: one descriptor lowers to
+/// different code for another op or element type.
 struct PackQuarantine {
   sim::ArchGeneration Gen = sim::ArchGeneration::Kepler;
+  ReduceOp Op = ReduceOp::Add;
+  ir::ScalarType Elem = ir::ScalarType::F32;
   synth::VariantDescriptor Desc;
   support::Status Why;
 };

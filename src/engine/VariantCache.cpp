@@ -28,18 +28,6 @@ uint64_t VariantKey::hash() const {
 VariantCache::VariantCache(size_t Capacity)
     : Capacity(std::max<size_t>(1, Capacity)) {}
 
-VariantCache::VariantPtr VariantCache::lookup(const VariantKey &K) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Map.find(K);
-  if (It == Map.end()) {
-    ++Misses;
-    return nullptr;
-  }
-  ++Hits;
-  Lru.splice(Lru.begin(), Lru, It->second);
-  return It->second->second;
-}
-
 void VariantCache::insert(const VariantKey &K, VariantPtr V) {
   std::lock_guard<std::mutex> Lock(Mutex);
   insertLocked(K, std::move(V));
@@ -134,10 +122,4 @@ CacheStats VariantCache::getStats() const {
   S.SingleFlightWaits = SingleFlightWaits;
   S.FailedCompiles = FailedCompiles;
   return S;
-}
-
-void VariantCache::clear() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Map.clear();
-  Lru.clear();
 }

@@ -91,9 +91,6 @@ public:
 
   explicit VariantCache(size_t Capacity = 256);
 
-  /// Returns the cached variant and refreshes its recency, or null on miss.
-  VariantPtr lookup(const VariantKey &K);
-
   /// Inserts (or replaces) \p V under \p K, evicting the least recently
   /// used entry when over capacity. Does not count as a compile (pack
   /// imports warm caches through this without perturbing VariantsCompiled).
@@ -122,9 +119,6 @@ public:
   void setCompileChaosHook(CompileChaosHook Hook);
 
   CacheStats getStats() const;
-  size_t getCapacity() const { return Capacity; }
-  /// Drops every entry (counters are kept).
-  void clear();
 
 private:
   struct KeyHasher {

@@ -121,8 +121,7 @@ KernelTiming tangram::sim::modelKernelTime(const ArchDesc &Arch,
   else
     T.Dominant = KernelTiming::Bound::Compute;
 
-  T.OverheadSeconds =
-      Options.IncludeLaunchOverhead ? Arch.KernelLaunchOverheadUs * 1e-6 : 0;
+  T.OverheadSeconds = Arch.KernelLaunchOverheadUs * 1e-6;
   T.TotalSeconds = Body + T.OverheadSeconds;
   return T;
 }

@@ -49,7 +49,6 @@ struct TimingOptions {
   /// When > 0, replaces both load efficiencies (the Kokkos-style staged
   /// scheme models its bandwidth behaviour this way; see DESIGN.md).
   double MemoryEfficiencyOverride = 0.0;
-  bool IncludeLaunchOverhead = true;
 };
 
 /// Decomposed modeled time for one kernel launch.

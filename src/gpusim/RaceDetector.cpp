@@ -117,7 +117,7 @@ void RaceDetector::report(MemSpace Space, RaceKind Kind,
   ++Conflicts;
   if (!Reported.insert(reportKey(Space, Kind, First.PC, Second.PC)).second)
     return;
-  if (Diagnostics.size() >= Opts.MaxReports)
+  if (Diagnostics.size() >= MaxReports)
     return;
   RaceDiagnostic D;
   D.Space = Space;
@@ -161,7 +161,7 @@ void RaceDetector::record(MemSpace Space, AddrState &State,
         Last.PC == Access.PC)
       return;
   }
-  if (State.Reads.size() >= Opts.ReadHistoryLimit)
+  if (State.Reads.size() >= ReadHistoryLimit)
     State.Reads.erase(State.Reads.begin());
   State.Reads.push_back(Access);
 }
@@ -172,7 +172,7 @@ void RaceDetector::onSharedAccess(unsigned ArrayId, long long Index,
   uint64_t Key = addrKey(ArrayId, Index);
   auto It = SharedState.find(Key);
   if (It == SharedState.end()) {
-    if (SharedState.size() >= Opts.MaxTrackedAddresses) {
+    if (SharedState.size() >= MaxTrackedAddresses) {
       Truncated = true;
       return;
     }
@@ -193,7 +193,7 @@ void RaceDetector::onGlobalAccess(unsigned BufferId, uint16_t ParamIndex,
   uint64_t Key = addrKey(BufferId, Index);
   auto It = GlobalState.find(Key);
   if (It == GlobalState.end()) {
-    if (GlobalState.size() >= Opts.MaxTrackedAddresses) {
+    if (GlobalState.size() >= MaxTrackedAddresses) {
       Truncated = true;
       return;
     }

@@ -43,19 +43,6 @@
 
 namespace tangram::sim {
 
-/// Detector knobs (surfaced through engine::EngineOptions).
-struct RaceCheckOptions {
-  /// Read records kept per address; older reads age out (a bounded
-  /// under-approximation — at least the most recent conflicts survive).
-  unsigned ReadHistoryLimit = 8;
-  /// Diagnostics reported per launch; further races are counted, not kept.
-  unsigned MaxReports = 16;
-  /// Addresses tracked per memory space per launch. Beyond this the
-  /// detector stops tracking *new* addresses (sets `truncated`), bounding
-  /// memory on very large inputs.
-  size_t MaxTrackedAddresses = 1u << 22;
-};
-
 /// Which memory an access touched.
 enum class MemSpace : unsigned char { Shared, Global };
 
@@ -99,9 +86,17 @@ struct RaceDiagnostic {
 /// within each block.
 class RaceDetector {
 public:
-  RaceDetector(const ir::CompiledKernel &Kernel,
-               const RaceCheckOptions &Opts)
-      : Kernel(Kernel), Opts(Opts) {}
+  explicit RaceDetector(const ir::CompiledKernel &Kernel) : Kernel(Kernel) {}
+
+  /// Read records kept per address; older reads age out (a bounded
+  /// under-approximation — at least the most recent conflicts survive).
+  static constexpr unsigned ReadHistoryLimit = 8;
+  /// Diagnostics reported per launch; further races are counted, not kept.
+  static constexpr unsigned MaxReports = 16;
+  /// Addresses tracked per memory space per launch. Beyond this the
+  /// detector stops tracking *new* addresses (sets `truncated`), bounding
+  /// memory on very large inputs.
+  static constexpr size_t MaxTrackedAddresses = 1u << 22;
 
   /// Starts block \p BlockIdx: shared-memory history and the barrier epoch
   /// reset (shared memory is block-private; a fresh block implies fresh
@@ -156,7 +151,6 @@ private:
               const RaceAccess &Second);
 
   const ir::CompiledKernel &Kernel;
-  RaceCheckOptions Opts;
 
   unsigned Block = 0;
   unsigned Epoch = 0;

@@ -1148,7 +1148,7 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
   // deterministic.
   std::unique_ptr<RaceDetector> Race;
   if (Mode == ExecMode::RaceCheck)
-    Race = std::make_unique<RaceDetector>(Kernel, RaceOpts);
+    Race = std::make_unique<RaceDetector>(Kernel);
   std::unique_ptr<FaultInjector> Injector;
   if (Fault.active())
     Injector = std::make_unique<FaultInjector>(Fault);

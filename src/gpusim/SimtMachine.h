@@ -167,12 +167,6 @@ public:
   /// Maximum blocks sampled per launch in Sampled mode.
   static constexpr unsigned SampledBlocks = 48;
 
-  /// Knobs applied to launches in ExecMode::RaceCheck.
-  void setRaceCheckOptions(const RaceCheckOptions &Opts) {
-    RaceOpts = Opts;
-  }
-  const RaceCheckOptions &getRaceCheckOptions() const { return RaceOpts; }
-
   /// Fault plan applied to every subsequent launch (an inactive plan — the
   /// default — injects nothing). Active plans force sequential block
   /// execution, like RaceCheck, so fault sites are deterministic.
@@ -183,7 +177,6 @@ private:
   Device &Dev;
   const ArchDesc &Arch;
   support::ThreadPool *Pool;
-  RaceCheckOptions RaceOpts;
   FaultPlan Fault;
 };
 

@@ -83,10 +83,6 @@ public:
                             const sim::LaunchConfig &Config,
                             const std::vector<sim::ArgValue> &Args);
 
-  /// Drops all cached mirrors (tests / memory pressure).
-  void dropMirrors() { Mirrors.clear(); }
-  size_t getMirrorCount() const { return Mirrors.size(); }
-
 private:
   /// Typed copy of one device buffer's active value lane (+ index payload
   /// lane in pair mode), keyed by the buffer's mutation stamp.

@@ -21,7 +21,7 @@
 ///    seam ResilientClient's retry/backoff is built for.
 ///  - QuarantineStorm: the lane's primary batch variant is quarantined
 ///    mid-stream, as a trapped launch or fault campaign would; the lane
-///    degrades through the DynamicSelector chain and the circuit
+///    degrades to the same variant on the other backend, and the circuit
 ///    breaker's half-open probe is what un-quarantines it.
 ///  - QueueDelay: a deadline-eating stall between dequeue and launch —
 ///    the window the pre-launch deadline re-check exists for.

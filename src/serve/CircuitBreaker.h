@@ -14,8 +14,8 @@
 ///              MinSamples outcomes and the failure ratio reaches
 ///              FailureRatio, the breaker trips to Open.
 ///   Open     — requests fast-fail (the shard routes them straight to the
-///              DynamicSelector degraded path without touching the
-///              primary) until OpenSeconds of cooldown pass.
+///              failover chain without touching the primary) until
+///              OpenSeconds of cooldown pass.
 ///   HalfOpen — after cooldown, one supervised probe at a time is allowed
 ///              through the primary. ProbeSuccesses consecutive probe
 ///              successes close the breaker (and reset the window); any

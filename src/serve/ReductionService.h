@@ -11,9 +11,9 @@
 /// generation, one engine lane per (op, dtype) inside it), coalescing
 /// (many small-N jobs of one lane become a single segmented launch — see
 /// serve/Batch.h for the bit-identity argument), and failover (a
-/// quarantined batch variant degrades jobs through the DynamicSelector
-/// chain — portfolio, then the native CPU backend, then the host loop —
-/// instead of failing them).
+/// quarantined batch variant or a tripped lane breaker degrades jobs to
+/// the same batch variant on the other backend, which gives the same bits,
+/// then to the host loop — instead of failing them).
 ///
 ///   ReductionService Svc({});
 ///   JobSpec Job;
@@ -84,8 +84,8 @@ struct JobResult {
   double LatencySeconds = 0;
   engine::Backend Used = engine::Backend::Simulator;
   bool Coalesced = false;   ///< Served by a segmented batch launch.
-  bool Degraded = false;    ///< Answered by the failover chain, not the
-                            ///< shard's primary batch variant.
+  bool Degraded = false;    ///< Answered by the failover chain, not by
+                            ///< the lane's primary backend.
   unsigned BatchJobs = 1;   ///< Jobs sharing the launch (1 = alone).
 };
 
@@ -111,11 +111,6 @@ struct ServiceOptions {
   /// go direct.
   unsigned BatchBlockSize = 256;
   unsigned BatchCoarsen = 1;
-  /// Simulation threads per shard engine pool (1: block parallelism off —
-  /// the shard worker is the unit of concurrency).
-  unsigned EngineThreads = 1;
-  /// Capacity of the per-shard variant cache shared by its lanes.
-  size_t EngineCacheCapacity = 256;
   /// Tuned-variant packs (engine/TunedPack.h) imported into every shard's
   /// cache at construction, so a shard whose keys a pack carries opens with
   /// hot lanes: the first request per (op, dtype) is served without a
@@ -128,8 +123,8 @@ struct ServiceOptions {
   /// Each shard owns one deterministic injector built from this plan.
   ChaosPlan Chaos;
   /// Per-lane circuit breaker guarding the primary batch path (enabled by
-  /// default; a tripped breaker fast-fails jobs to the degraded
-  /// DynamicSelector chain and recovers through half-open probes).
+  /// default; a tripped breaker fast-fails jobs to the failover chain and
+  /// recovers through half-open probes).
   CircuitBreakerOptions Breaker;
 };
 

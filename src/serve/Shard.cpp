@@ -22,14 +22,13 @@ using support::Status;
 using support::StatusCode;
 
 Shard::Shard(const sim::ArchDesc &Arch, const ServiceOptions &Opts)
-    : Arch(Arch), Opts(Opts),
-      Cache(std::make_shared<engine::VariantCache>(Opts.EngineCacheCapacity)),
-      Pool(std::make_shared<support::ThreadPool>(Opts.EngineThreads)) {
+    : Arch(Arch), Opts(Opts), Cache(std::make_shared<engine::VariantCache>()),
+      Pool(std::make_shared<support::ThreadPool>(1)) {
   // Warm start: pack entries land in the shared cache before any lane
   // exists, so the shard opens with hot lanes — the first request per
   // imported key is served without a single-flight compile. Quarantine
-  // records need an engine; stash the ones for this generation and apply
-  // them as lanes come up. An unusable pack degrades to a cold start.
+  // records need an engine; stash this generation's and apply each as the
+  // lane of its (op, dtype) comes up. An unusable pack degrades to cold.
   for (const std::string &Path : Opts.ImportPacks) {
     auto Pack = engine::readTunedPack(Path);
     if (!Pack) {
@@ -223,13 +222,12 @@ Shard::Lane &Shard::laneFor(ReduceOp Op, ir::ScalarType Elem) {
   } else {
     L.TR = std::move(*TR);
     L.E = &L.TR->engineFor(Arch);
-    // Imported packs shipped quarantine verdicts for this generation:
-    // pre-poison the lane's engine so it degrades known-bad configurations
+    // Pack verdicts for this generation and the lane's (op, dtype)
+    // pre-poison its engine, so it degrades known-bad configurations
     // immediately instead of rediscovering the trap under traffic.
     for (const engine::PackQuarantine &Q : PendingQuarantines)
-      if (!L.E->isQuarantined(Q.Desc))
+      if (Q.Op == Op && Q.Elem == Elem && !L.E->isQuarantined(Q.Desc))
         L.E->quarantineVariant(Q.Desc, Q.Why);
-    L.Selector = std::make_unique<DynamicSelector>(*L.TR);
     // The batch variant: a two-kernel, block-distributing tiled version —
     // its first stage writes exactly one partial per block tile, which is
     // what segmented batching packs jobs into. Prefer the shuffle tree
@@ -461,6 +459,7 @@ Expected<JobResult> Shard::runDirect(Lane &L, const JobSpec &Spec) {
   // direct answers come from the same kernel and stay bit-identical. The
   // lane breaker gates the attempt: while tripped, skip straight to the
   // failover chain instead of burning a launch on a known-bad variant.
+  Req.Desc = L.BatchDesc;
   if (L.BatchDescValid &&
       decidePrimary(L) != BreakerDecision::FastFail) {
     if (L.E->isQuarantined(L.BatchDesc)) {
@@ -470,7 +469,6 @@ Expected<JobResult> Shard::runDirect(Lane &L, const JobSpec &Spec) {
       if (L.Breaker)
         L.Breaker->record(false, engine::steadySeconds());
     } else {
-      Req.Desc = L.BatchDesc;
       auto Out = L.E->run(Req);
       if (L.Breaker)
         L.Breaker->record(static_cast<bool>(Out), engine::steadySeconds());
@@ -479,10 +477,16 @@ Expected<JobResult> Shard::runDirect(Lane &L, const JobSpec &Spec) {
     }
   }
 
-  // Failover: the DynamicSelector chain — portfolio candidates, then the
-  // native CPU backend, then the host loop. A quarantined shard degrades
-  // instead of failing its tenants' jobs.
-  auto Out = L.Selector->reduce(*L.E, Req);
+  // Failover keeps the primary's bits: the same descriptor on the other
+  // backend (quarantine and the breaker gate only the lane's backend —
+  // run() does not consult them — and both backends fold this descriptor
+  // identically), then the host loop when neither backend can run it.
+  if (L.BatchDescValid) {
+    Req.BackendKind = engine::getOtherBackend(Opts.BackendKind);
+    if (auto Out = L.E->run(Req))
+      return Finish(std::move(*Out), true);
+  }
+  auto Out = engine::hostReduce(Dev, In, Req.N, Spec.Op, Spec.Elem);
   if (!Out)
     return Out.status();
   return Finish(std::move(*Out), true);

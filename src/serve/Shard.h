@@ -9,9 +9,9 @@
 /// worker thread draining it, and one engine lane per (op, dtype) the
 /// shard has seen. Lanes share the shard's variant cache (so a variant is
 /// compiled once per shard no matter how many lanes race through
-/// single-flight resolution) but each lane owns its facade, engine, and
-/// DynamicSelector — engine state is worker-thread-confined, which is what
-/// makes the shard safe without locking the execution path.
+/// single-flight resolution) but each lane owns its facade, engine, batch
+/// descriptor and breaker — engine state is worker-thread-confined, which
+/// is what makes the shard safe without locking the execution path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +22,6 @@
 #include "serve/ReductionService.h"
 
 #include "engine/TunedPack.h"
-#include "tangram/DynamicSelector.h"
 #include "tangram/Tangram.h"
 
 #include <condition_variable>
@@ -72,8 +71,6 @@ public:
   const std::vector<std::string> &getStartupWarnings() const {
     return StartupWarnings;
   }
-  /// The shard's chaos injector (null when the plan is inactive).
-  const ChaosInjector *getChaosInjector() const { return Injector.get(); }
 
   /// Lane introspection (creates the lane on demand). Worker-thread state:
   /// only call while the worker is not running.
@@ -87,7 +84,7 @@ private:
     support::Status Create = support::Status::success();
     std::unique_ptr<TangramReduction> TR;
     engine::ExecutionEngine *E = nullptr;
-    std::unique_ptr<DynamicSelector> Selector;
+    /// The lane's one kernel: batches, lone jobs and failover all run it.
     synth::VariantDescriptor BatchDesc;
     bool BatchDescValid = false;
     size_t Tile = 0; ///< Elements one batch slot (block) holds.
@@ -118,7 +115,8 @@ private:
   sim::ArchDesc Arch;
   ServiceOptions Opts;
   std::shared_ptr<engine::VariantCache> Cache;
-  std::shared_ptr<support::ThreadPool> Pool;
+  std::shared_ptr<support::ThreadPool> Pool; ///< One thread: the worker is
+                                             ///< the unit of concurrency.
   std::unique_ptr<ChaosInjector> Injector; ///< Null without a chaos plan.
   std::map<LaneKey, Lane> Lanes; ///< Worker-thread confined.
   /// Quarantine records from imported packs for this shard's generation,

@@ -7,7 +7,6 @@
 #include "tangram/DynamicSelector.h"
 
 #include "baselines/OmpCpuReduce.h"
-#include "reduce/OpDef.h"
 
 #include <cmath>
 #include <limits>
@@ -121,10 +120,16 @@ DynamicSelector::reduce(engine::ExecutionEngine &E,
     return Native;
   }
 
-  // Last resort: a plain host loop always produces the caller's answer.
-  auto Host = hostFallback(E, Req.In, Req.N);
-  if (Host)
+  // Last resort: a plain host loop always produces the caller's answer,
+  // in the facade's operator and element domain, priced like the
+  // OmpCpuReduce baseline (POWER8 host model).
+  const TangramReduction::Options &Opts = TR.getOptions();
+  auto Host =
+      engine::hostReduce(E.getDevice(), Req.In, Req.N, Opts.Op, Opts.Elem);
+  if (Host) {
+    Host->Seconds = baselines::Power8Model{}.seconds(Req.N);
     ++FallbackRuns;
+  }
   return Host;
 }
 
@@ -147,35 +152,6 @@ DynamicSelector::nativeFallback(engine::ExecutionEngine &E,
     LastWhy = Out.status();
   }
   return LastWhy;
-}
-
-Expected<engine::ReduceResult>
-DynamicSelector::hostFallback(engine::ExecutionEngine &E, sim::BufferId In,
-                              size_t N) {
-  sim::Device &Dev = E.getDevice();
-  if (In >= Dev.mark())
-    return Status(StatusCode::InvalidArgument,
-                  "host fallback: invalid input buffer id");
-  if (N > Dev.get(In).size())
-    return Status(StatusCode::InvalidArgument,
-                  "host fallback: N exceeds the input buffer length");
-
-  // Honor the facade's operator and element domain exactly — the baseline's
-  // parallel path only knows float Add, and correctness beats speed here.
-  const TangramReduction::Options &Opts = TR.getOptions();
-  reduce::HostAccumulator Acc(Opts.Op, Opts.Elem);
-  for (size_t I = 0; I != N; ++I)
-    Acc.accumulate(Dev.readFloat(In, I), Dev.readInt(In, I),
-                   static_cast<long long>(I));
-  engine::ReduceResult Out;
-  Out.FloatValue = Acc.valueF();
-  Out.IntValue = Acc.valueI();
-  Out.IndexValue = Acc.index();
-  // Priced like the OmpCpuReduce baseline (POWER8 host model). The host
-  // loop runs on the CPU tier, so report it as the native backend.
-  Out.Seconds = baselines::Power8Model{}.seconds(N);
-  Out.Used = engine::Backend::NativeCpu;
-  return Out;
 }
 
 unsigned DynamicSelector::getDeadCandidates() const {

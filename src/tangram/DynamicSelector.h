@@ -35,8 +35,8 @@ namespace tangram {
 /// backend (src/native) — the engine's fault plan and simulator-side
 /// failure modes do not reach it, and it still runs the *synthesized*
 /// kernel at host speed; only when even native execution cannot answer
-/// does a plain host CPU reduction (the OmpCpuReduce baseline path)
-/// produce the caller's result.
+/// does the engine's host loop (engine::hostReduce, priced by the
+/// OmpCpuReduce POWER8 model) produce the caller's result.
 class DynamicSelector {
 public:
   /// \p Portfolio defaults to the paper's eight best versions (Fig. 6
@@ -88,11 +88,6 @@ private:
   /// best known, skipping dead and engine-quarantined entries (-1 = none
   /// alive).
   int pickCandidate(BucketState &State, engine::ExecutionEngine &E) const;
-
-  /// Correct-if-slow host CPU reduction over the device buffer, priced by
-  /// the OmpCpuReduce POWER8 model.
-  support::Expected<engine::ReduceResult>
-  hostFallback(engine::ExecutionEngine &E, sim::BufferId In, size_t N);
 
   /// Retries the portfolio on the native CPU backend (quarantine is a
   /// simulator-path verdict and is deliberately bypassed). Null result =

@@ -144,8 +144,8 @@ double TangramReduction::timeVariant(const VariantDescriptor &Desc,
                                      size_t N) const {
   // Honor the facade's timing backend so tune/timeVariant report on the
   // same clock (modeled cycles vs native host wall).
-  auto T = engineFor(Arch).timeVariantChecked(
-      Desc, N, Opts.Tune.RetryBudgetFactor, Opts.Tune.TimingBackend);
+  auto T = engineFor(Arch).timeVariantChecked(Desc, N,
+                                              Opts.Tune.TimingBackend);
   return T ? *T : std::numeric_limits<double>::infinity();
 }
 

@@ -52,13 +52,12 @@ public:
     ir::ScalarType Elem = ir::ScalarType::F32;
     ReduceOp Op = ReduceOp::Add;
     /// Knobs of tune/findBestReport/timeVariant: the tunable grid (the
-    /// paper's tuning script), the per-block cap, validation size, retry
-    /// budget, and the backend whose clock ranks configurations (the
-    /// simulator's cycle model by default; `tgrc tune --backend=native`
-    /// ranks by native host wall-clock).
+    /// paper's tuning script), the per-block cap, and the backend whose
+    /// clock ranks configurations (the simulator's cycle model by default;
+    /// `tgrc tune --backend=native` ranks by native host wall-clock).
     engine::TuneOptions Tune;
-    /// Execution-layer knobs (thread pool, variant cache, RaceCheck
-    /// detector limits), passed to every lazily-created per-arch engine.
+    /// Execution-layer knobs (thread pool, variant cache, fault plan,
+    /// packs), passed to every lazily-created per-arch engine.
     engine::EngineOptions Engine;
     /// Compile this text instead of the canonical spectrum source when
     /// non-empty (testing hook: error paths, custom codelet sets).
@@ -84,8 +83,6 @@ public:
   const Options &getOptions() const { return Opts; }
   /// The normalized canonical source text.
   const std::string &getSourceText() const { return SourceText; }
-  /// The synthesizer lowering this spectrum (cache-key source of truth).
-  const synth::KernelSynthesizer &getSynthesizer() const { return *Synth; }
   /// The Fig. 5 pre-processing pipeline results, keyed by codelet.
   const std::map<const lang::CodeletDecl *,
                  transforms::CodeletTransformInfo> &

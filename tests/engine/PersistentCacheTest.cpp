@@ -16,12 +16,15 @@
 //     a hard InternalError, and the rejected pack leaves the cache and the
 //     quarantine untouched;
 //   - a round trip warm-starts an engine that never compiles, with the
-//     pack's quarantine verdicts applied.
+//     pack's quarantine verdicts applied;
+//   - a quarantine verdict applies only to engines and service lanes of
+//     the generation, op and element type it was recorded for.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/ExecutionEngine.h"
 #include "engine/TunedPack.h"
+#include "serve/ReductionService.h"
 #include "tangram/Tangram.h"
 
 #include <gtest/gtest.h>
@@ -284,7 +287,7 @@ TEST(PersistentCache, KeyMismatchIsHardFailure) {
   Pack.Entries.push_back(*E2);
   Pack.Entries.back().Artifact = E1->Artifact;
   Pack.Quarantined.push_back(
-      {sim::getPascalP100().Gen, D2,
+      {sim::getPascalP100().Gen, ReduceOp::Add, ir::ScalarType::F32, D2,
        support::Status(support::StatusCode::DeadlineExceeded, "slow")});
 
   // Integrity failures are a hard error, never downgraded to a recompile,
@@ -332,7 +335,8 @@ TEST(PersistentCache, PackRoundTripWarmStartsWithoutCompiling) {
     engine::TunedPack Pack;
     Pack.Entries.push_back(std::move(*Entry));
     Pack.Quarantined.push_back(
-        {sim::getPascalP100().Gen, Quarantined,
+        {sim::getPascalP100().Gen, ReduceOp::Add, ir::ScalarType::F32,
+         Quarantined,
          support::Status(support::StatusCode::DeadlineExceeded,
                          "timed out on tuning sweep")});
     support::Status S = engine::writeTunedPack(PackPath, Pack);
@@ -379,4 +383,62 @@ TEST(PersistentCache, UnreadablePackIsALoudStartupWarning) {
   // The engine still works cold.
   ASSERT_TRUE(E.getVariant(TR->getSearchSpace().Pruned.front()).ok());
   EXPECT_EQ(E.getCacheStats().VariantsCompiled, 1u);
+}
+
+// A quarantine verdict names a configuration of one (op, dtype): the same
+// descriptor lowers to different code for another. An Add f32 pack that
+// quarantines the serving lanes' batch configuration on Pascal poisons
+// Add f32 engines and lanes, and leaves ArgMax i64 ones untouched.
+TEST(PersistentCache, PackQuarantineAppliesOnlyToItsOwnOpAndDtype) {
+  TempDir Dir("scope");
+  const std::string PackPath = Dir.file("add_f32.tgrp");
+  const sim::ArchDesc &Pascal = sim::getPascalP100();
+
+  VariantDescriptor Batch;
+  {
+    serve::ServiceOptions SO;
+    SO.StartWorkers = false;
+    serve::ReductionService Svc(SO);
+    const VariantDescriptor *D = Svc.laneBatchDescriptor(
+        Pascal.Gen, ReduceOp::Add, ir::ScalarType::F32);
+    ASSERT_NE(D, nullptr);
+    Batch = *D;
+  }
+  {
+    auto TR = makeFacade(ReduceOp::Add, ir::ScalarType::F32);
+    auto Entry = TR->engineFor(Pascal).exportTunedVariant(
+        TR->getSearchSpace().Pruned.front(), engine::Backend::Simulator, 0);
+    ASSERT_TRUE(Entry.ok()) << Entry.status().toString();
+    engine::TunedPack Pack;
+    Pack.Entries.push_back(std::move(*Entry));
+    Pack.Quarantined.push_back(
+        {Pascal.Gen, ReduceOp::Add, ir::ScalarType::F32, Batch,
+         support::Status(support::StatusCode::WrongResult,
+                         "wrong reduction while tuning add/f32")});
+    support::Status S = engine::writeTunedPack(PackPath, Pack);
+    ASSERT_TRUE(S.ok()) << S.toString();
+  }
+
+  // Facades: the verdict lands on Add f32 only.
+  auto ArgMax = makeFacade(ReduceOp::ArgMax, ir::ScalarType::I64, {PackPath});
+  engine::ExecutionEngine &AE = ArgMax->engineFor(Pascal);
+  EXPECT_TRUE(AE.getStartupWarnings().empty());
+  EXPECT_FALSE(AE.isQuarantined(Batch));
+  auto Add = makeFacade(ReduceOp::Add, ir::ScalarType::F32, {PackPath});
+  EXPECT_TRUE(Add->engineFor(Pascal).isQuarantined(Batch));
+
+  // Service lanes: the same scoping.
+  serve::ServiceOptions SO;
+  SO.StartWorkers = false;
+  SO.ImportPacks = {PackPath};
+  serve::ReductionService Svc(SO);
+  engine::ExecutionEngine *ArgMaxLane =
+      Svc.laneEngine(Pascal.Gen, ReduceOp::ArgMax, ir::ScalarType::I64);
+  engine::ExecutionEngine *AddLane =
+      Svc.laneEngine(Pascal.Gen, ReduceOp::Add, ir::ScalarType::F32);
+  ASSERT_NE(ArgMaxLane, nullptr);
+  ASSERT_NE(AddLane, nullptr);
+  EXPECT_FALSE(ArgMaxLane->isQuarantined(Batch));
+  EXPECT_TRUE(AddLane->isQuarantined(Batch));
+  EXPECT_TRUE(Svc.getHealth().Shards.front().Warnings.empty());
 }

@@ -252,9 +252,9 @@ TEST(Deadlines, ExpiredWhileQueuedIsDeadlineExceeded) {
 }
 
 // A quarantined batch variant must cost availability nothing: the batch
-// demotes, the direct path skips its quarantined primary, and the
-// DynamicSelector chain answers — flagged Degraded so operators can see
-// the shard is limping.
+// demotes, the direct path skips its quarantined primary, and the same
+// variant on the other backend answers — flagged Degraded so operators
+// can see the shard is limping.
 TEST(Failover, QuarantinedBatchVariantDegradesInsteadOfFailing) {
   ServiceOptions SO;
   SO.StartWorkers = false;

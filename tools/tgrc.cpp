@@ -508,10 +508,11 @@ bool exportTunedEntry(const TangramReduction &TR, const sim::ArchDesc &Arch,
     return false;
   }
   Pack.Entries.push_back(std::move(*Entry));
-  // Ship the bad news with the good: importers of this generation
-  // pre-quarantine what the sweep saw trap or misbehave.
+  // Ship the bad news with the good: importers of this generation, op and
+  // element type pre-quarantine what the sweep saw trap or misbehave.
   for (const engine::QuarantineRecord &Q : E.getQuarantineRecords())
-    Pack.Quarantined.push_back({Arch.Gen, Q.Desc, Q.Why});
+    Pack.Quarantined.push_back(
+        {Arch.Gen, TR.getOptions().Op, TR.getOptions().Elem, Q.Desc, Q.Why});
   return true;
 }
 
