@@ -86,8 +86,8 @@ int main() {
     double InterpWall = 0, NativeWall = 0;
     auto Interp =
         timedReduce(E, V, In, N, engine::Backend::Simulator, InterpWall);
-    // First native run pays lowering + mirror conversion; report the
-    // steady-state second run (the mirror is stamp-fresh and reused).
+    // First native run pays lowering and builds the virtual input's typed
+    // plane; report the steady-state second run.
     auto Native =
         timedReduce(E, V, In, N, engine::Backend::NativeCpu, NativeWall);
     if (Native)

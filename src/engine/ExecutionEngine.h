@@ -245,8 +245,8 @@ public:
   /// still trap/timeout. The Status names why a run was priced out.
   /// Backend::Simulator times the cycle model (Sampled mode);
   /// Backend::NativeCpu times real host execution — the second run is
-  /// measured so typed-mirror conversion amortizes out, mimicking a warm
-  /// serving loop.
+  /// measured so building the virtual input's typed plane amortizes out,
+  /// mimicking a warm serving loop.
   support::Expected<double>
   timeVariantChecked(const synth::VariantDescriptor &Desc, size_t N,
                      Backend B = Backend::Simulator);

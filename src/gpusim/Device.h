@@ -5,36 +5,51 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Global-memory buffers of the simulated GPU. Cells are stored untyped
-/// (integer and floating views); the element type recorded at allocation
-/// selects the view, mirroring how kernels interpret raw device pointers.
+/// Global-memory buffers of the simulated GPU, stored typed: the element
+/// type recorded at allocation picks one plane — float for F32, double
+/// for F64, int64 for the integer types — exactly the array a CUDA kernel
+/// reads through its typed pointer. Both backends run over that one
+/// array: the interpreter converts to and from its Cell registers in
+/// Buffer::read/write, and the native backend binds raw typed pointers
+/// to it, with no copy in between.
+///
+/// Pair reductions (ArgMin/ArgMax) also carry an int64 index per element.
+/// That lane is allocated only once a (value, index) pair is written, so
+/// plain buffers never pay for it; elements without one read index 0.
 ///
 /// Buffers come in two flavors:
 ///  - dense: backed by host memory (the default);
 ///  - virtual: read-only pattern-generated contents for the paper's
 ///    multi-hundred-million-element benchmark sizes, where materializing
 ///    the array would need gigabytes. Virtual buffers have an analytic
-///    reduction so benchmark results remain checkable.
+///    reduction so benchmark results remain checkable. The interpreter
+///    evaluates the pattern per read; the native backend needs an array,
+///    so its first launch over the buffer builds the typed plane once.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TANGRAM_GPUSIM_DEVICE_H
 #define TANGRAM_GPUSIM_DEVICE_H
 
-#include "ir/KernelIR.h"
+#include "ir/Bytecode.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <utility>
 #include <vector>
 
 namespace tangram::sim {
 
-/// One device memory cell / register value. The integer field holds
-/// I32/U32/I64 data (narrow types stored widened to 64 bits, wrapped on
-/// operation); the floating field holds F32/F64 data (F32 rounded on every
-/// write). Idx is the index payload lane for (value, index) pair
-/// reductions; Mov/Shfl/Ld/St copy whole cells, so payloads flow through
-/// every data path for free and only the pair-aware opcodes touch it.
+/// One interpreter register value, and the view of one device element the
+/// interpreter reads and writes. The integer field holds I32/U32/I64 data
+/// (narrow types stored widened to 64 bits, wrapped on operation); the
+/// floating field holds F32/F64 data (F32 rounded on every write). Idx is
+/// the index payload lane for (value, index) pair reductions; Mov/Shfl/
+/// Ld/St copy whole cells, so payloads flow through every data path for
+/// free and only the pair-aware opcodes touch it.
 struct Cell {
   long long I = 0;
   double F = 0.0;
@@ -42,6 +57,52 @@ struct Cell {
 };
 
 using BufferId = unsigned;
+
+/// A typed storage plane: a buffer's element array, and the native
+/// backend's per-register lane arrays.
+enum class Plane : unsigned char { Int, F32, F64 };
+
+/// The plane that stores values of \p Ty.
+inline Plane planeOf(ir::ScalarType Ty) {
+  switch (Ty) {
+  case ir::ScalarType::F32:
+    return Plane::F32;
+  case ir::ScalarType::F64:
+    return Plane::F64;
+  default:
+    return Plane::Int;
+  }
+}
+
+/// Allocates zero-filled buffer storage (calloc). Arrays of 2 MiB or more
+/// are advised for transparent huge pages, so the first touch of a 64 MiB
+/// upload takes about 32 page faults instead of 16384.
+void *allocateStorage(size_t Bytes);
+
+/// Storage comes zeroed, so elements are default-initialized in place
+/// instead of being zeroed a second time. Buffer arrays are sized once and
+/// never shrink, so every default-initialized element is fresh storage.
+template <typename T> struct StorageAllocator {
+  using value_type = T;
+  StorageAllocator() = default;
+  template <typename U> StorageAllocator(const StorageAllocator<U> &) {}
+  T *allocate(size_t N) {
+    return static_cast<T *>(allocateStorage(N * sizeof(T)));
+  }
+  void deallocate(T *P, size_t) { std::free(P); }
+  template <typename U> void construct(U *P) {
+    ::new (static_cast<void *>(P)) U;
+  }
+  template <typename U, typename... Args> void construct(U *P, Args &&...A) {
+    ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
+  }
+  friend bool operator==(const StorageAllocator &, const StorageAllocator &) {
+    return true;
+  }
+};
+
+/// One typed array of a buffer.
+template <typename T> using Storage = std::vector<T, StorageAllocator<T>>;
 
 /// Pattern for virtual buffers: value(i) = Base + Scale * (i % Modulus).
 struct VirtualPattern {
@@ -71,44 +132,112 @@ struct VirtualPattern {
 /// A device-resident linear buffer (dense or virtual).
 class Buffer {
 public:
+  /// A dense, zero-filled buffer.
   Buffer(ir::ScalarType Elem, size_t Count)
-      : Elem(Elem), Count(Count), Cells(Count) {}
+      : Elem(Elem), P(planeOf(Elem)), Count(Count) {
+    resizePlane();
+  }
+  /// A read-only buffer whose element i is Pattern.at(i).
   Buffer(ir::ScalarType Elem, size_t Count, const VirtualPattern &Pattern)
-      : Elem(Elem), Count(Count), Virtual(true), Pattern(Pattern) {}
+      : Elem(Elem), P(planeOf(Elem)), Count(Count), Virtual(true),
+        Pattern(Pattern) {}
 
-  ir::ScalarType getElemType() const { return Elem; }
+  Plane getPlane() const { return P; }
   size_t size() const { return Count; }
   bool isVirtual() const { return Virtual; }
 
+  /// Element \p I as a Cell: the element type's lane as stored, the other
+  /// numeric lane mirrored the way every kernel store leaves a register
+  /// (saturatingIntOf of a float, the double of an integer), and the index
+  /// lane, 0 where the buffer has none. Virtual buffers read the pattern.
   Cell read(size_t I) const {
     assert(I < Count && "device buffer read out of bounds");
-    return Virtual ? Pattern.at(I) : Cells[I];
+    if (Virtual)
+      return Pattern.at(I);
+    Cell C;
+    if (P == Plane::Int) {
+      C.I = Ints[I];
+      C.F = static_cast<double>(C.I);
+    } else {
+      C.F = P == Plane::F32 ? F32[I] : F64[I];
+      C.I = ir::saturatingIntOf(C.F);
+    }
+    if (!Idx.empty())
+      C.Idx = Idx[I];
+    return C;
   }
 
-  /// Writable cell access; virtual buffers are read-only (the SIMT
-  /// machine reports writes to them as launch errors).
-  Cell *writable(size_t I) {
+  /// Stores element \p I from \p C: the element type's lane (an F32 value
+  /// rounded to float, an integer wrapped to the element type) and the
+  /// index. The first nonzero index allocates the index lane. Virtual
+  /// buffers are read-only (the backends report writes to them as launch
+  /// errors before calling this).
+  void write(size_t I, const Cell &C) {
     assert(I < Count && "device buffer write out of bounds");
-    return Virtual ? nullptr : &Cells[I];
+    assert(!Virtual && "write to a read-only (virtual) buffer");
+    store(I, C);
+    if (Idx.empty() && C.Idx != 0)
+      addIndexLane();
+    if (!Idx.empty())
+      Idx[I] = C.Idx;
   }
 
-  const VirtualPattern &getPattern() const { return Pattern; }
+  /// The typed element array of the buffer's plane (null on the other two
+  /// planes, and on a virtual buffer until materialize()).
+  float *f32Data() { return F32.empty() ? nullptr : F32.data(); }
+  double *f64Data() { return F64.empty() ? nullptr : F64.data(); }
+  long long *intData() { return Ints.empty() ? nullptr : Ints.data(); }
+  /// The index lane, or null while the buffer has none.
+  long long *indexData() { return Idx.empty() ? nullptr : Idx.data(); }
 
-  /// Mutation stamp: the device-clock tick of the last write to this
-  /// buffer (allocation counts as a write). Monotonic across buffer
-  /// reuse, so a stamp uniquely identifies one content version — the
-  /// native backend keys its typed mirror caches on it.
-  uint64_t getStamp() const { return Stamp; }
+  /// Allocates a zeroed index lane if the buffer has none, for a native
+  /// launch about to write pairs into it.
+  void addIndexLane() {
+    if (Idx.empty())
+      Idx.resize(Count);
+  }
+
+  /// Builds a virtual buffer's typed plane from its pattern. The pattern
+  /// never changes, so this runs once per buffer; a no-op on dense ones.
+  void materialize() {
+    if (!Virtual || Materialized)
+      return;
+    resizePlane();
+    for (size_t I = 0; I != Count; ++I)
+      store(I, Pattern.at(I));
+    Materialized = true;
+  }
 
 private:
-  friend class Device;
+  void resizePlane() {
+    if (P == Plane::F32)
+      F32.resize(Count);
+    else if (P == Plane::F64)
+      F64.resize(Count);
+    else
+      Ints.resize(Count);
+  }
+
+  void store(size_t I, const Cell &C) {
+    if (P == Plane::F32)
+      F32[I] = static_cast<float>(C.F);
+    else if (P == Plane::F64)
+      F64[I] = C.F;
+    else
+      Ints[I] = ir::wrapToType(Elem, C.I);
+  }
 
   ir::ScalarType Elem;
+  Plane P;
   size_t Count;
   bool Virtual = false;
-  uint64_t Stamp = 0;
+  bool Materialized = false;
   VirtualPattern Pattern;
-  std::vector<Cell> Cells;
+  /// One of these three holds the elements; the other two stay empty.
+  Storage<float> F32;
+  Storage<double> F64;
+  Storage<long long> Ints;
+  Storage<long long> Idx;
 };
 
 /// Owns all buffers of one simulated device.
@@ -116,7 +245,6 @@ class Device {
 public:
   BufferId alloc(ir::ScalarType Elem, size_t Count) {
     Buffers.emplace_back(Elem, Count);
-    Buffers.back().Stamp = ++MutationClock;
     return static_cast<BufferId>(Buffers.size() - 1);
   }
 
@@ -124,7 +252,6 @@ public:
   BufferId allocVirtual(ir::ScalarType Elem, size_t Count,
                         const VirtualPattern &Pattern) {
     Buffers.emplace_back(Elem, Count, Pattern);
-    Buffers.back().Stamp = ++MutationClock;
     return static_cast<BufferId>(Buffers.size() - 1);
   }
 
@@ -137,30 +264,29 @@ public:
     return Buffers[Id];
   }
 
-  /// Uploads 32-bit floats.
+  /// Uploads 32-bit floats: one copy into an F32 buffer. Uploads into a
+  /// virtual buffer are ignored, like every write to one.
   void writeFloats(BufferId Id, const std::vector<float> &Data) {
     Buffer &B = get(Id);
     assert(Data.size() <= B.size() && "upload larger than buffer");
-    for (size_t I = 0; I != Data.size(); ++I)
-      if (Cell *C = B.writable(I))
-        C->F = Data[I];
-    noteWrite(Id);
+    if (B.isVirtual())
+      return;
+    if (float *Dst = B.f32Data())
+      std::copy(Data.begin(), Data.end(), Dst);
+    else
+      for (size_t I = 0; I != Data.size(); ++I)
+        B.write(I, Cell{ir::saturatingIntOf(Data[I]), Data[I], 0});
   }
 
   /// Uploads 32-bit integers.
   void writeInts(BufferId Id, const std::vector<int> &Data) {
     Buffer &B = get(Id);
     assert(Data.size() <= B.size() && "upload larger than buffer");
+    if (B.isVirtual())
+      return;
     for (size_t I = 0; I != Data.size(); ++I)
-      if (Cell *C = B.writable(I))
-        C->I = Data[I];
-    noteWrite(Id);
+      B.write(I, Cell{Data[I], static_cast<double>(Data[I]), 0});
   }
-
-  /// Advances the device clock and stamps \p Id with the new tick. Called
-  /// by the upload helpers and by backends after they mutate a buffer's
-  /// cells, so mirror caches keyed on Buffer::getStamp() see the change.
-  void noteWrite(BufferId Id) { get(Id).Stamp = ++MutationClock; }
 
   double readFloat(BufferId Id, size_t Index) const {
     return get(Id).read(Index).F;
@@ -172,9 +298,6 @@ public:
   long long readIndex(BufferId Id, size_t Index) const {
     return get(Id).read(Index).Idx;
   }
-
-  /// Releases every buffer (between benchmark iterations).
-  void reset() { Buffers.clear(); }
 
   /// Allocation watermark for scoped/stack-style buffer lifetimes: buffers
   /// allocated after mark() can be dropped with release(), leaving earlier
@@ -190,9 +313,6 @@ public:
 
 private:
   std::vector<Buffer> Buffers;
-  /// Monotonic write clock; never reset, so stamps stay unique across
-  /// reset()/release() buffer-id reuse.
-  uint64_t MutationClock = 0;
 };
 
 } // namespace tangram::sim

@@ -157,6 +157,14 @@ void atomicApply(ReduceOp Op, ScalarType Ty, Cell &Target, const Cell &V) {
     setI(Target, wrapInt(Ty, applyReduceOp<long long>(Op, Target.I, V.I)));
 }
 
+/// The same read-modify-write on element \p Idx of a device buffer.
+void atomicApply(ReduceOp Op, ScalarType Ty, Buffer &B, size_t Idx,
+                 const Cell &V) {
+  Cell Target = B.read(Idx);
+  atomicApply(Op, Ty, Target, V);
+  B.write(Idx, Target);
+}
+
 /// One deferred global-memory write recorded while a block executes in
 /// parallel mode. Entries keep program order within the block; replaying
 /// whole logs in block-index order reproduces the exact memory state the
@@ -663,7 +671,7 @@ private:
             continue;
           if (Idx < 0 || static_cast<uint64_t>(Idx) >= B->size()) {
             error(strformat("global store out of bounds (index %lld)", Idx));
-          } else if (Cell *C = B->writable(static_cast<size_t>(Idx))) {
+          } else if (!B->isVirtual()) {
             if (Race)
               Race->onGlobalAccess(Args[In.MemId].Id, In.MemId, Idx, WarpId,
                                    L, W.PC, /*IsWrite=*/true,
@@ -677,7 +685,7 @@ private:
               Log->push_back({Args[In.MemId].Id, static_cast<size_t>(Idx),
                               false, ReduceOp::Add, In.Ty, V});
             else
-              *C = V;
+              B->write(static_cast<size_t>(Idx), V);
           } else {
             error("store to a read-only (virtual) buffer");
           }
@@ -831,7 +839,7 @@ private:
           if (Race)
             Race->onGlobalAccess(Args[In.MemId].Id, In.MemId, Idx, WarpId, L,
                                  W.PC, /*IsWrite=*/true, /*IsAtomic=*/true);
-          if (Cell *C = B->writable(static_cast<size_t>(Idx))) {
+          if (!B->isVirtual()) {
             unsigned Applies = 1;
             if (Drop) {
               Drop = false;
@@ -845,7 +853,8 @@ private:
                 Log->push_back({Args[In.MemId].Id, static_cast<size_t>(Idx),
                                 true, Op, In.Ty, reg(W, In.Src2, L)});
               else
-                atomicApply(Op, In.Ty, *C, reg(W, In.Src2, L));
+                atomicApply(Op, In.Ty, *B, static_cast<size_t>(Idx),
+                            reg(W, In.Src2, L));
             }
           } else {
             error("atomic on a read-only (virtual) buffer");
@@ -1201,12 +1210,11 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
     for (BlockOutcome &O : Outcomes) {
       Result.DeadlineExceeded |= O.DeadlineExceeded;
       for (const GlobalEffect &E : O.Effects) {
-        Cell *C = Dev.get(E.Buf).writable(E.Idx);
-        assert(C && "logged effect targets a read-only buffer");
+        Buffer &B = Dev.get(E.Buf);
         if (E.Atomic)
-          atomicApply(E.Op, E.Ty, *C, E.Value);
+          atomicApply(E.Op, E.Ty, B, E.Idx, E.Value);
         else
-          *C = E.Value;
+          B.write(E.Idx, E.Value);
       }
       for (std::string &Msg : O.Errors)
         if (Result.Errors.size() < 8)
@@ -1232,16 +1240,6 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
     double Factor =
         static_cast<double>(Config.GridDim) / Result.BlocksSimulated;
     Result.Stats.scale(Factor);
-  }
-
-  // Stamp every buffer the kernel stores or atomically updates so mirror
-  // caches keyed on Buffer::getStamp() (native backend) observe the write.
-  for (const Instr &In : Kernel.Code) {
-    if (In.Op != Opcode::StGlobal && In.Op != Opcode::AtomGlobal)
-      continue;
-    const ArgValue &V = Args[In.MemId];
-    if (V.IsBuffer && !Dev.get(V.Id).isVirtual())
-      Dev.noteWrite(V.Id);
   }
 
   Result.RegistersPerThread = Kernel.Source->getRegisterEstimate();

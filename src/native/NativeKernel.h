@@ -39,6 +39,7 @@
 #ifndef TANGRAM_NATIVE_NATIVEKERNEL_H
 #define TANGRAM_NATIVE_NATIVEKERNEL_H
 
+#include "gpusim/Device.h"
 #include "ir/Bytecode.h"
 #include "support/Expected.h"
 
@@ -46,22 +47,12 @@
 
 namespace tangram::native {
 
-/// A typed storage plane (one lane array per register per warp).
-enum class Plane : unsigned char { Int, F32, F64 };
+/// Register planes use the device's storage planes (one lane array per
+/// register per warp).
+using sim::Plane;
+using sim::planeOf;
 
 const char *getPlaneName(Plane P);
-
-/// The plane that stores values of \p Ty.
-inline Plane planeOf(ir::ScalarType Ty) {
-  switch (Ty) {
-  case ir::ScalarType::F32:
-    return Plane::F32;
-  case ir::ScalarType::F64:
-    return Plane::F64;
-  default:
-    return Plane::Int;
-  }
-}
 
 /// Which plane holds an instruction operand's live value at that program
 /// point (the dataflow's verdict). `All` means every plane agrees — the
@@ -83,7 +74,7 @@ struct NativeKernel {
   std::vector<ValuePlane> OperandPlane;
   /// Kernel manipulates (value, index) pairs: MkPair, arg-reductions, or
   /// arg-atomics appear. The machine then threads an Idx plane through
-  /// registers, shared arrays, and buffer mirrors, like Cell::Idx.
+  /// registers, shared arrays, and buffer index lanes, like Cell::Idx.
   bool PairMode = false;
   /// Which planes the kernel touches (skip allocating the others).
   bool UsesInt = false, UsesF32 = false, UsesF64 = false;

@@ -35,8 +35,6 @@ using namespace tangram::ir;
 using namespace tangram::native;
 using sim::ArgValue;
 using sim::Buffer;
-using sim::BufferId;
-using sim::Cell;
 using sim::LaunchConfig;
 
 namespace {
@@ -47,10 +45,9 @@ double nowSeconds() {
       .count();
 }
 
-/// Typed, non-owning window into one pointer argument's mirror storage.
+/// Typed, non-owning window into one pointer argument's device buffer.
 struct View {
   bool IsBuffer = false;
-  BufferId Id = 0;
   Plane P = Plane::Int;
   bool Writable = false;
   size_t Size = 0;
@@ -73,7 +70,7 @@ struct Effect {
   long long Idx = 0;
 };
 
-/// Applies one store/atomic to the mirror behind \p V, with the exact
+/// Applies one store/atomic to the buffer behind \p V, with the exact
 /// combine semantics of the interpreter's atomicApply.
 void applyEffect(std::vector<View> &Views, const Effect &E) {
   View &V = Views[E.Mem];
@@ -783,12 +780,16 @@ private:
           break;
         }
         }
-        if (NK.PairMode && V.Idx) {
+        if (NK.PairMode) {
           long long *X = xp(W, In.Dst);
-          const long long *S = V.Idx + B0;
-          TGR_VEC_LOOP
-          for (unsigned L = 0; L != WarpLanes; ++L)
-            X[L] = S[L];
+          if (V.Idx) {
+            const long long *S = V.Idx + B0;
+            TGR_VEC_LOOP
+            for (unsigned L = 0; L != WarpLanes; ++L)
+              X[L] = S[L];
+          } else {
+            std::fill_n(X, WarpLanes, 0);
+          }
         }
         return;
       }
@@ -810,8 +811,8 @@ private:
         }
         if (Width == 1) {
           D[L] = V.F32[Base];
-          if (NK.PairMode && V.Idx)
-            xp(W, In.Dst)[L] = V.Idx[Base];
+          if (NK.PairMode)
+            xp(W, In.Dst)[L] = V.Idx ? V.Idx[Base] : 0;
         } else {
           // Vectorized load: sum of W consecutive elements, accumulated
           // in double exactly like the interpreter, rounded once.
@@ -836,8 +837,8 @@ private:
         }
         if (Width == 1) {
           D[L] = V.F64[Base];
-          if (NK.PairMode && V.Idx)
-            xp(W, In.Dst)[L] = V.Idx[Base];
+          if (NK.PairMode)
+            xp(W, In.Dst)[L] = V.Idx ? V.Idx[Base] : 0;
         } else {
           double Sum = 0;
           for (unsigned J = 0; J != Width; ++J)
@@ -861,8 +862,8 @@ private:
         }
         if (Width == 1) {
           D[L] = V.I[Base];
-          if (NK.PairMode && V.Idx)
-            xp(W, In.Dst)[L] = V.Idx[Base];
+          if (NK.PairMode)
+            xp(W, In.Dst)[L] = V.Idx ? V.Idx[Base] : 0;
         } else {
           long long Sum = 0;
           for (unsigned J = 0; J != Width; ++J)
@@ -1386,97 +1387,6 @@ private:
 
 } // namespace
 
-NativeMachine::Mirror &NativeMachine::ensureMirror(BufferId Id, bool NeedIdx,
-                                                   double &BuildSeconds) {
-  Mirror &M = Mirrors[Id];
-  const Buffer &B = Dev.get(Id);
-  bool Fresh = M.Stamp == B.getStamp() && M.Size == B.size();
-  if (Fresh && (!NeedIdx || M.HasIdx))
-    return M;
-  double T0 = nowSeconds();
-  if (!Fresh) {
-    M.Stamp = B.getStamp();
-    M.P = planeOf(B.getElemType());
-    M.Size = B.size();
-    M.Dirty = false;
-    M.F32.clear();
-    M.F64.clear();
-    M.I.clear();
-    M.Idx.clear();
-    M.HasIdx = false;
-    switch (M.P) {
-    case Plane::F32:
-      M.F32.resize(M.Size);
-      break;
-    case Plane::F64:
-      M.F64.resize(M.Size);
-      break;
-    case Plane::Int:
-      M.I.resize(M.Size);
-      break;
-    }
-    for (size_t I = 0; I != M.Size; ++I) {
-      Cell C = B.read(I);
-      switch (M.P) {
-      case Plane::F32:
-        M.F32[I] = static_cast<float>(C.F);
-        break;
-      case Plane::F64:
-        M.F64[I] = C.F;
-        break;
-      case Plane::Int:
-        M.I[I] = C.I;
-        break;
-      }
-    }
-  }
-  if (NeedIdx && !M.HasIdx) {
-    M.Idx.resize(M.Size);
-    for (size_t I = 0; I != M.Size; ++I)
-      M.Idx[I] = B.read(I).Idx;
-    M.HasIdx = true;
-  }
-  BuildSeconds += nowSeconds() - T0;
-  return M;
-}
-
-void NativeMachine::writeBack(BufferId Id, Mirror &M) {
-  Buffer &B = Dev.get(Id);
-  for (size_t I = 0; I != M.Size; ++I) {
-    Cell *C = B.writable(I);
-    if (!C)
-      continue;
-    switch (M.P) {
-    case Plane::F32:
-      C->F = static_cast<double>(M.F32[I]);
-      C->I = saturatingIntOf(M.F32[I]);
-      break;
-    case Plane::F64:
-      C->F = M.F64[I];
-      C->I = saturatingIntOf(M.F64[I]);
-      break;
-    case Plane::Int:
-      C->I = M.I[I];
-      C->F = static_cast<double>(M.I[I]);
-      break;
-    }
-    if (M.HasIdx)
-      C->Idx = M.Idx[I];
-  }
-  Dev.noteWrite(Id);
-  M.Stamp = B.getStamp();
-  M.Dirty = false;
-}
-
-void NativeMachine::pruneStale() {
-  for (auto It = Mirrors.begin(); It != Mirrors.end();) {
-    bool Dead = It->first >= Dev.mark() ||
-                Dev.get(It->first).getStamp() != It->second.Stamp ||
-                Dev.get(It->first).size() != It->second.Size;
-    It = Dead ? Mirrors.erase(It) : std::next(It);
-  }
-}
-
 NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
                                          const LaunchConfig &Config,
                                          const std::vector<ArgValue> &Args) {
@@ -1500,7 +1410,7 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
     return R;
   }
   // Every global access must agree with the bound buffer's element plane:
-  // typed mirrors cannot reinterpret the way untyped Cells can.
+  // typed storage cannot be reinterpreted the way an untyped Cell can.
   for (const Instr &In : K.Code) {
     if (In.Op != Opcode::LdGlobal && In.Op != Opcode::StGlobal &&
         In.Op != Opcode::AtomGlobal)
@@ -1508,7 +1418,7 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
     const ArgValue &V = Args[In.MemId];
     if (!V.IsBuffer)
       continue;
-    Plane BufP = planeOf(Dev.get(V.Id).getElemType());
+    Plane BufP = Dev.get(V.Id).getPlane();
     if (BufP != planeOf(In.Ty)) {
       R.Errors.push_back(
           strformat("native launch: buffer argument %u holds %s data but "
@@ -1532,38 +1442,34 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
              64ull * MaxScalar;
   }
 
-  pruneStale();
+  // Pair kernels store (value, index) pairs, so each buffer they write
+  // gets an index lane first; reads of a buffer without one see index 0.
+  if (NK.PairMode)
+    for (const Instr &In : K.Code) {
+      if (In.Op != Opcode::StGlobal && In.Op != Opcode::AtomGlobal)
+        continue;
+      const ArgValue &A = Args[In.MemId];
+      if (A.IsBuffer && !Dev.get(A.Id).isVirtual())
+        Dev.get(A.Id).addIndexLane();
+    }
 
-  // Typed mirrors for every buffer argument, then views over them.
-  for (const ArgValue &A : Args)
-    if (A.IsBuffer)
-      ensureMirror(A.Id, NK.PairMode, R.MirrorSeconds);
+  // Views straight over the device buffers: blocks read and write device
+  // memory in place. A virtual buffer builds its typed plane on first use.
   std::vector<View> Views(Args.size());
   for (size_t I = 0; I != Args.size(); ++I) {
-    const ArgValue &A = Args[I];
-    if (!A.IsBuffer)
+    if (!Args[I].IsBuffer)
       continue;
-    Mirror &M = Mirrors[A.Id];
+    Buffer &B = Dev.get(Args[I].Id);
+    B.materialize();
     View &V = Views[I];
     V.IsBuffer = true;
-    V.Id = A.Id;
-    V.P = M.P;
-    V.Writable = !Dev.get(A.Id).isVirtual();
-    V.Size = M.Size;
-    V.F32 = M.F32.data();
-    V.F64 = M.F64.data();
-    V.I = M.I.data();
-    V.Idx = M.HasIdx ? M.Idx.data() : nullptr;
-  }
-
-  // Mark mirrors the kernel writes dirty up front; they are written back
-  // to device cells after execution.
-  for (const Instr &In : K.Code) {
-    if (In.Op != Opcode::StGlobal && In.Op != Opcode::AtomGlobal)
-      continue;
-    const ArgValue &V = Args[In.MemId];
-    if (V.IsBuffer && !Dev.get(V.Id).isVirtual())
-      Mirrors[V.Id].Dirty = true;
+    V.P = B.getPlane();
+    V.Writable = !B.isVirtual();
+    V.Size = B.size();
+    V.F32 = B.f32Data();
+    V.F64 = B.f64Data();
+    V.I = B.intData();
+    V.Idx = NK.PairMode ? B.indexData() : nullptr;
   }
 
   double T0 = nowSeconds();
@@ -1583,7 +1489,7 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
     R.WarpInstructions += Exec.WarpInstructions;
     R.LaneInstructions += Exec.LaneInstructions;
   } else {
-    // Parallel blocks against the pristine mirrors: each defers its global
+    // Parallel blocks against the pristine buffers: each defers its global
     // writes into a program-ordered log; replay in block-index order keeps
     // results bit-identical across thread counts.
     struct BlockOutcome {
@@ -1616,14 +1522,6 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
     }
   }
 
-  // Publish results: written mirrors go back to device cells so callers
-  // (and the simulator oracle) read them through the normal Device API.
-  for (const ArgValue &A : Args)
-    if (A.IsBuffer) {
-      auto It = Mirrors.find(A.Id);
-      if (It != Mirrors.end() && It->second.Dirty)
-        writeBack(A.Id, It->second);
-    }
   R.ExecSeconds = nowSeconds() - T0;
   return R;
 }

@@ -22,12 +22,11 @@
 ///    thread counts, exactly like the interpreter's parallel mode (kernels
 ///    that load a buffer they also write run sequentially, same gate).
 ///
-/// Device memory stays the simulator's Cell-based Device (so the oracle
-/// cross-check and all existing tooling keep working); the machine keeps
-/// typed *mirrors* of the buffers it touches, keyed on Buffer::getStamp(),
-/// converts on first use, and writes mutated mirrors back after a launch.
-/// Mirror conversion is reported separately from execution time since it
-/// amortizes across launches in a tuning/serving loop.
+/// Device memory is the simulator's Device, whose buffers are already
+/// typed arrays: the machine binds its views straight to them, so blocks
+/// load from and store to the same memory the interpreter (the oracle)
+/// reads, with no copy in between. A virtual buffer builds its typed
+/// plane once, on its first native launch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +38,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace tangram::support {
@@ -59,52 +57,28 @@ struct NativeLaunchResult {
   bool DeadlineExceeded = false;
   /// Wall-clock seconds spent executing blocks and replaying effects.
   double ExecSeconds = 0;
-  /// Wall-clock seconds spent (re)building typed buffer mirrors this
-  /// launch; 0 on steady-state reuse.
-  double MirrorSeconds = 0;
   unsigned GridDim = 0;
   unsigned BlockDim = 0;
 
   bool ok() const { return Errors.empty(); }
 };
 
-/// Runs NativeKernels against a simulator Device. One machine per engine;
-/// it owns the typed mirror cache, so repeated launches over the same
-/// buffers (tuning sweeps, serving) skip reconversion.
+/// Runs NativeKernels against a simulator Device. One machine per engine.
 class NativeMachine {
 public:
   NativeMachine(sim::Device &Dev, support::ThreadPool *Pool = nullptr)
       : Dev(Dev), Pool(Pool) {}
 
   /// Executes \p NK over the grid, like SimtMachine::launch. \p Args must
-  /// match the kernel's parameter list. On return, device cells of every
-  /// buffer the kernel wrote hold the results (mirrors written back).
+  /// match the kernel's parameter list. On return, every buffer the kernel
+  /// wrote holds the results.
   NativeLaunchResult launch(const NativeKernel &NK,
                             const sim::LaunchConfig &Config,
                             const std::vector<sim::ArgValue> &Args);
 
 private:
-  /// Typed copy of one device buffer's active value lane (+ index payload
-  /// lane in pair mode), keyed by the buffer's mutation stamp.
-  struct Mirror {
-    uint64_t Stamp = 0;
-    Plane P = Plane::Int;
-    size_t Size = 0;
-    std::vector<float> F32;
-    std::vector<double> F64;
-    std::vector<long long> I;
-    std::vector<long long> Idx;
-    bool HasIdx = false;
-    bool Dirty = false;
-  };
-
-  Mirror &ensureMirror(sim::BufferId Id, bool NeedIdx, double &BuildSeconds);
-  void writeBack(sim::BufferId Id, Mirror &M);
-  void pruneStale();
-
   sim::Device &Dev;
   support::ThreadPool *Pool;
-  std::unordered_map<sim::BufferId, Mirror> Mirrors;
 };
 
 } // namespace tangram::native

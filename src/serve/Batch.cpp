@@ -22,27 +22,21 @@ using support::StatusCode;
 
 void serve::writeJob(sim::Device &Dev, sim::BufferId Buf, size_t Offset,
                      const JobSpec &Spec) {
+  // Buffer::write keeps the element type's lane: F32 data is rounded to
+  // float exactly like Device::writeFloats fed from a float vector.
   sim::Buffer &B = Dev.get(Buf);
+  sim::Cell C;
   if (ir::isFloatType(Spec.Elem)) {
     for (size_t I = 0; I != Spec.FloatData.size(); ++I) {
-      sim::Cell *C = B.writable(Offset + I);
-      // Upload semantics: F32 data is rounded to float on write, exactly
-      // like Device::writeFloats fed from a float vector.
-      C->F = Spec.Elem == ir::ScalarType::F64
-                 ? Spec.FloatData[I]
-                 : static_cast<double>(static_cast<float>(Spec.FloatData[I]));
-      C->I = ir::saturatingIntOf(C->F);
-      C->Idx = 0;
+      C.F = Spec.FloatData[I];
+      B.write(Offset + I, C);
     }
   } else {
     for (size_t I = 0; I != Spec.IntData.size(); ++I) {
-      sim::Cell *C = B.writable(Offset + I);
-      C->I = ir::wrapToType(Spec.Elem, Spec.IntData[I]);
-      C->F = static_cast<double>(C->I);
-      C->Idx = 0;
+      C.I = Spec.IntData[I];
+      B.write(Offset + I, C);
     }
   }
-  Dev.noteWrite(Buf);
 }
 
 void serve::foldCell(ReduceOp Op, ir::ScalarType Ty, sim::Cell &Acc,
@@ -117,34 +111,23 @@ serve::runBatch(engine::ExecutionEngine &E,
   // The arena: job j owns cells [j*Tile, (j+1)*Tile), padded with the
   // kernel identity — the constant guarded loads substitute when the same
   // job runs alone, so every schedule position folds identical operands.
-  const reduce::IdentityCell KId = reduce::getKernelIdentity(Op, Elem);
+  const reduce::IdentityCell KIdentity = reduce::getKernelIdentity(Op, Elem);
+  const sim::Cell KId{KIdentity.I, KIdentity.F, KIdentity.Idx};
   sim::BufferId Arena = Dev.alloc(Elem, K * Tile);
-  {
-    sim::Buffer &AB = Dev.get(Arena);
-    for (size_t J = 0; J != K; ++J) {
-      const size_t Base = J * Tile;
-      writeJob(Dev, Arena, Base, *Jobs[J]);
-      for (size_t I = Jobs[J]->size(); I != Tile; ++I) {
-        sim::Cell *C = AB.writable(Base + I);
-        C->F = KId.F;
-        C->I = KId.I;
-        C->Idx = KId.Idx;
-      }
-    }
-    Dev.noteWrite(Arena);
+  sim::Buffer &AB = Dev.get(Arena);
+  for (size_t J = 0; J != K; ++J) {
+    const size_t Base = J * Tile;
+    writeJob(Dev, Arena, Base, *Jobs[J]);
+    for (size_t I = Jobs[J]->size(); I != Tile; ++I)
+      AB.write(Base + I, KId);
   }
 
-  const reduce::IdentityCell Id = reduce::getIdentity(Op, Elem);
+  // Identity-seed cell 0 like the engine does for its partials buffer; the
+  // kernel overwrites every cell it owns.
+  const reduce::IdentityCell Identity = reduce::getIdentity(Op, Elem);
+  const sim::Cell Id{Identity.I, Identity.F, Identity.Idx};
   sim::BufferId Partials = Dev.alloc(Elem, K);
-  {
-    // Identity-seed cell 0 like the engine does for its partials buffer;
-    // the kernel overwrites every cell it owns.
-    sim::Cell *C = Dev.get(Partials).writable(0);
-    C->F = Id.F;
-    C->I = Id.I;
-    C->Idx = Id.Idx;
-    Dev.noteWrite(Partials);
-  }
+  Dev.get(Partials).write(0, Id);
 
   // One stage-1 launch over the whole arena: N = K*Tile with ObjectSize =
   // Tile makes the grid exactly K blocks, one per job.
@@ -189,10 +172,7 @@ serve::runBatch(engine::ExecutionEngine &E,
   // and final accumulator fold with the machine's own cell semantics.
   std::vector<JobResult> Results(K);
   for (size_t J = 0; J != K; ++J) {
-    sim::Cell P;
-    P.F = Dev.readFloat(Partials, J);
-    P.I = Dev.readInt(Partials, J);
-    P.Idx = Dev.readIndex(Partials, J);
+    sim::Cell P = Dev.get(Partials).read(J);
     if (isArgReduce(Op)) {
       // Arena indexes are job-local ones shifted by the tile base, and a
       // block only ever reads its own tile — padding lanes included, whose
@@ -205,15 +185,9 @@ serve::runBatch(engine::ExecutionEngine &E,
         P.Idx -= Base;
     }
 
-    sim::Cell Acc;
-    Acc.F = KId.F;
-    Acc.I = KId.I;
-    Acc.Idx = KId.Idx;
+    sim::Cell Acc = KId;
     foldCell(Op, Elem, Acc, P);
-    sim::Cell Fin;
-    Fin.F = Id.F;
-    Fin.I = Id.I;
-    Fin.Idx = Id.Idx;
+    sim::Cell Fin = Id;
     foldCell(Op, Elem, Fin, Acc);
 
     JobResult &R = Results[J];

@@ -9,6 +9,7 @@
 #include "serve/Batch.h"
 
 #include "engine/ExecutionEngine.h"
+#include "reduce/OpDef.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -231,9 +232,14 @@ Shard::Lane &Shard::laneFor(ReduceOp Op, ir::ScalarType Elem) {
     // The batch variant: a two-kernel, block-distributing tiled version —
     // its first stage writes exactly one partial per block tile, which is
     // what segmented batching packs jobs into. Prefer the shuffle tree
-    // (the paper's best cooperative flavor on shuffle-capable parts).
+    // (the paper's best cooperative flavor on shuffle-capable parts). Its
+    // second stage always combines through a grid atomic, so where that
+    // atomic is illegal (Kepler's 64-bit pairs) the lane has no batch
+    // variant and its jobs go straight to the host loop.
+    const bool GridAtomicLegal = reduce::atomicLegality(Op, Elem, Arch.Gen) !=
+                                 reduce::AtomicSupport::Illegal;
     for (const synth::VariantDescriptor &D : L.TR->getSearchSpace().All) {
-      if (!D.usesSecondKernel() ||
+      if (!GridAtomicLegal || !D.usesSecondKernel() ||
           D.GridDist != transforms::DistPattern::Tiled ||
           !D.BlockDistributes ||
           D.BlockDist != transforms::DistPattern::Tiled)

@@ -12,13 +12,10 @@ namespace tangram::support {
 
 ThreadPool::ThreadPool(unsigned ThreadCount)
     : Count(ThreadCount ? ThreadCount
-                        : std::max(1u, std::thread::hardware_concurrency())) {
-  // The caller participates in every parallelFor, so spawn Count-1 workers.
-  for (unsigned I = 1; I < Count; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
-}
+                        : std::max(1u, std::thread::hardware_concurrency())) {}
 
 ThreadPool::~ThreadPool() {
+  std::lock_guard<std::mutex> CallLock(CallMutex);
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     Stopping = true;
@@ -31,13 +28,18 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::parallelFor(size_t N, const std::function<void(size_t)> &Fn) {
   if (N == 0)
     return;
-  if (Workers.empty() || N == 1) {
+  if (Count <= 1 || N == 1) {
     for (size_t I = 0; I != N; ++I)
       Fn(I);
     return;
   }
 
   std::lock_guard<std::mutex> CallLock(CallMutex);
+  // The caller participates in every loop, so the first one that can use
+  // them spawns Count-1 workers.
+  if (Workers.empty())
+    for (unsigned I = 1; I < Count; ++I)
+      Workers.emplace_back([this] { workerLoop(); });
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     Job = &Fn;

@@ -6,10 +6,12 @@
 ///
 /// \file
 /// A small persistent thread pool with a single primitive: parallelFor over
-/// an index range. Workers are spawned once and reused across calls, so the
-/// simulator can fan out per-block interpretation without per-launch thread
-/// creation cost. The pool makes no ordering promises within a call; callers
-/// that need determinism must merge per-index results in index order.
+/// an index range. Workers are spawned by the first parallelFor over more
+/// than one index and reused across calls, so the simulator can fan out
+/// per-block interpretation without per-launch thread creation cost, and a
+/// pool that never runs parallel work never starts a thread. The pool makes
+/// no ordering promises within a call; callers that need determinism must
+/// merge per-index results in index order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,6 +65,7 @@ private:
   void noteBodyException();
 
   unsigned Count;
+  /// Spawned lazily; guarded by CallMutex.
   std::vector<std::thread> Workers;
 
   /// Serializes concurrent parallelFor callers (the pool is not reentrant).

@@ -87,10 +87,11 @@ void fillInput(sim::Device &Dev, sim::BufferId In, size_t N,
       IV = 5000;
     if (I == 2 * N / 3)
       IV = -5000;
-    sim::Cell *C = Dev.get(In).writable(I);
-    C->I = IV;
-    C->F = static_cast<double>(IV) * 0.25;
-    Ref.accumulate(C->F, C->I, static_cast<long long>(I));
+    sim::Cell C;
+    C.I = IV;
+    C.F = static_cast<double>(IV) * 0.25;
+    Dev.get(In).write(I, C);
+    Ref.accumulate(C.F, C.I, static_cast<long long>(I));
   }
 }
 

@@ -150,9 +150,10 @@ engine::RaceReport seedAndCheck(const VariantDescriptor &Desc,
   size_t Mark = E.deviceMark();
   sim::BufferId In = E.getDevice().alloc(V.Elem, N);
   for (size_t I = 0; I != N; ++I) {
-    sim::Cell *C = E.getDevice().get(In).writable(I);
-    C->I = static_cast<long long>(I % 17);
-    C->F = static_cast<double>(I % 17);
+    sim::Cell C;
+    C.I = static_cast<long long>(I % 17);
+    C.F = static_cast<double>(I % 17);
+    E.getDevice().get(In).write(I, C);
   }
   engine::ReduceRequest Req;
   Req.In = In;

@@ -12,7 +12,8 @@
 //    stopping service with StatusCode::Unavailable, each without invoking
 //    the completion;
 //  - a quarantined batch variant degrades jobs through the failover chain
-//    instead of failing them;
+//    instead of failing them, and a lane whose grid atomic is illegal
+//    answers on the host loop without a synthesis attempt;
 //  - stop() drains every queued job before the workers exit.
 //
 //===----------------------------------------------------------------------===//
@@ -20,11 +21,13 @@
 #include "serve/ReductionService.h"
 
 #include "engine/ExecutionEngine.h"
+#include "reduce/OpDef.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <string>
 
 using namespace tangram;
 using namespace tangram::serve;
@@ -298,6 +301,55 @@ TEST(Failover, QuarantinedBatchVariantDegradesInsteadOfFailing) {
   EXPECT_GE(St.DegradedBatches, 1u);
   EXPECT_EQ(St.DegradedJobs, Jobs);
   EXPECT_EQ(St.CoalescedJobs, 0u);
+}
+
+// Kepler has no 128-bit pair atomic, and every batch descriptor's second
+// stage combines through a grid atomic. So an ArgMax i64 lane there has no
+// batch variant: its jobs go straight to the host loop, flagged Degraded,
+// with no synthesis attempt in between (the shard's cache sees no lookup).
+TEST(Failover, LaneWithoutALegalBatchVariantAnswersOnTheHostLoop) {
+  const std::vector<size_t> Sizes = {1, 31, 256, 257, 1000, 4097, 9000};
+  for (engine::Backend Lane :
+       {engine::Backend::Simulator, engine::Backend::NativeCpu}) {
+    SCOPED_TRACE(engine::getBackendName(Lane));
+    ServiceOptions SO;
+    SO.StartWorkers = false;
+    SO.BackendKind = Lane;
+    SO.Archs = {sim::getKeplerK40c()};
+    ReductionService Svc(SO);
+    EXPECT_EQ(Svc.laneBatchDescriptor(sim::ArchGeneration::Kepler,
+                                      ReduceOp::ArgMax, ir::ScalarType::I64),
+              nullptr);
+
+    std::vector<JobSpec> Jobs;
+    std::vector<std::future<support::Expected<JobResult>>> Futures;
+    for (size_t J = 0; J != Sizes.size(); ++J) {
+      Jobs.push_back(makeJob(ReduceOp::ArgMax, ir::ScalarType::I64, J,
+                             Sizes[J]));
+      Jobs.back().Gen = sim::ArchGeneration::Kepler;
+      Futures.push_back(Svc.submit(Jobs.back()));
+    }
+    Svc.drainNow();
+
+    for (size_t J = 0; J != Jobs.size(); ++J) {
+      SCOPED_TRACE("N = " + std::to_string(Sizes[J]));
+      auto Out = Futures[J].get();
+      ASSERT_TRUE(Out.ok()) << Out.status().toString();
+      EXPECT_TRUE(Out->Degraded);
+      EXPECT_FALSE(Out->Coalesced);
+      reduce::HostAccumulator Ref(ReduceOp::ArgMax, ir::ScalarType::I64);
+      for (size_t I = 0; I != Jobs[J].IntData.size(); ++I)
+        Ref.accumulate(static_cast<double>(Jobs[J].IntData[I]),
+                       Jobs[J].IntData[I], static_cast<long long>(I));
+      EXPECT_EQ(Out->IntValue, Ref.valueI());
+      EXPECT_EQ(Out->IndexValue, Ref.index());
+      EXPECT_EQ(Out->FloatValue, static_cast<double>(Ref.valueI()));
+    }
+    HealthReport H = Svc.getHealth();
+    ASSERT_EQ(H.Shards.size(), 1u);
+    EXPECT_EQ(H.Shards.front().Stats.DegradedJobs, Sizes.size());
+    EXPECT_EQ(H.Shards.front().Cache.Misses, 0u);
+  }
 }
 
 TEST(Shutdown, StopDrainsQueuedJobsBeforeExiting) {

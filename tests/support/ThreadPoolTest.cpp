@@ -7,7 +7,8 @@
 // The block-parallel simulator runs kernel blocks through parallelFor, so a
 // throwing body (e.g. a bad_alloc inside a block simulation) must not take
 // the pool down or hang the caller: the first exception propagates to the
-// parallelFor caller and the pool stays usable.
+// parallelFor caller and the pool stays usable. A pool that only ever runs
+// sequential work starts no thread at all.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -72,6 +75,35 @@ TEST(ThreadPool, PoolIsReusableAfterException) {
     Count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(Count.load(), 8u);
+}
+
+/// Threads of this process (Linux lists one /proc/self/task entry each).
+long threadCount() {
+  std::error_code EC;
+  std::filesystem::directory_iterator It("/proc/self/task", EC), End;
+  return EC ? -1 : static_cast<long>(std::distance(It, End));
+}
+
+TEST(ThreadPool, WorkersStartOnFirstParallelLoop) {
+  const long Before = threadCount();
+  if (Before < 0)
+    GTEST_SKIP() << "/proc/self/task is not readable";
+  {
+    ThreadPool Idle(4);
+    EXPECT_EQ(threadCount(), Before);
+  }
+
+  ThreadPool Pool(4);
+  EXPECT_EQ(Pool.getThreadCount(), 4u);
+  std::atomic<unsigned> Ran{0};
+  Pool.parallelFor(1, [&](size_t) { Ran.fetch_add(1); });
+  EXPECT_EQ(threadCount(), Before);
+
+  Pool.parallelFor(8, [&](size_t) { Ran.fetch_add(1); });
+  EXPECT_EQ(Ran.load(), 9u);
+  // At least the three workers (ThreadSanitizer adds a thread of its own
+  // once the process has a second one).
+  EXPECT_GE(threadCount(), Before + 3);
 }
 
 TEST(ThreadPool, SequentialFallbackPropagatesToo) {
