@@ -252,12 +252,11 @@ LaunchResult ExecutionEngine::launch(const ir::CompiledKernel &Kernel,
   return Machine.launch(Kernel, Config, Args, Mode);
 }
 
-Expected<ReduceResult>
-ExecutionEngine::runReduction(const synth::SynthesizedVariant &V, BufferId In,
-                              size_t N, ExecMode Mode, Backend B) {
-  ReduceResult Out;
+Expected<BufferId> ExecutionEngine::runStage(const synth::SynthesizedVariant &V,
+                                             BufferId In, size_t N,
+                                             ExecMode Mode, Backend B,
+                                             ReduceResult &Out) {
   Out.Used = B;
-
   if (B == Backend::NativeCpu) {
     if (!V.Native)
       return Status(StatusCode::InvalidArgument,
@@ -270,68 +269,57 @@ ExecutionEngine::runReduction(const synth::SynthesizedVariant &V, BufferId In,
   }
 
   LaunchConfig Config = makeLaunchConfig(V, N);
-  if (BudgetEscalation > 1)
-    Config.MaxWarpInstructions *= BudgetEscalation;
-
-  // Scratch accumulators live above this watermark and are dropped on every
-  // exit path, so repeated calls never grow the device.
-  struct Scope {
-    Device &D;
-    size_t M;
-    ~Scope() { D.release(M); }
-  } Scratch{Dev, Dev.mark()};
+  Config.MaxWarpInstructions *= BudgetEscalation;
 
   // Accumulator: one identity-initialized element for atomic grids, or a
   // per-block partials array for second-kernel variants (Listing 1).
-  bool TwoKernel = V.Desc.usesSecondKernel();
-  BufferId ReturnBuf = Dev.alloc(V.Elem, TwoKernel ? Config.GridDim : 1);
+  BufferId Acc =
+      Dev.alloc(V.Elem, V.Desc.usesSecondKernel() ? Config.GridDim : 1);
   reduce::IdentityCell Id = reduce::getIdentity(V.Op, V.Elem);
-  Dev.get(ReturnBuf).write(0, Cell{Id.I, Id.F, Id.Idx});
+  Dev.get(Acc).write(0, Cell{Id.I, Id.F, Id.Idx});
 
-  long long ObjectSize = static_cast<long long>(V.elementsPerBlock());
-
-  std::vector<ArgValue> Args = {ArgValue::buffer(ReturnBuf),
-                                ArgValue::buffer(In),
-                                ArgValue::scalar(static_cast<long long>(N)),
-                                ArgValue::scalar(ObjectSize)};
+  std::vector<ArgValue> Args = {
+      ArgValue::buffer(Acc), ArgValue::buffer(In),
+      ArgValue::scalar(static_cast<long long>(N)),
+      ArgValue::scalar(static_cast<long long>(V.elementsPerBlock()))};
+  if (B == Backend::NativeCpu)
+    Out.Launch = NativeM.launch(*V.Native, Config, Args);
+  else
+    Out.Launch = Machine.launch(V.Compiled, Config, Args, Mode);
+  if (!Out.Launch.ok())
+    return Status(Out.Launch.DeadlineExceeded ? StatusCode::DeadlineExceeded
+                                              : StatusCode::LaunchError,
+                  Out.Launch.Errors.front());
 
   if (B == Backend::NativeCpu) {
-    native::NativeLaunchResult NR = NativeM.launch(*V.Native, Config, Args);
-    // Surface the native run through the same LaunchResult shape callers
-    // already consume; cycle statistics stay zero (no model ran).
-    Out.Launch.GridDim = NR.GridDim;
-    Out.Launch.BlockDim = NR.BlockDim;
-    Out.Launch.BlocksSimulated = NR.GridDim;
-    Out.Launch.Errors = NR.Errors;
-    Out.Launch.DeadlineExceeded = NR.DeadlineExceeded;
-    Out.Launch.Stats.WarpInstructions = NR.WarpInstructions;
-    Out.Launch.Stats.LaneInstructions = NR.LaneInstructions;
-    if (!Out.Launch.ok())
-      return Status(NR.DeadlineExceeded ? StatusCode::DeadlineExceeded
-                                        : StatusCode::LaunchError,
-                    Out.Launch.Errors.front());
     // Host wall-clock, not modeled time: what this backend is for.
-    Out.Seconds = NR.ExecSeconds;
+    Out.Seconds = Out.Launch.HostSeconds;
   } else {
-    Out.Launch = Machine.launch(V.Compiled, Config, Args, Mode);
-    if (!Out.Launch.ok())
-      return Status(Out.Launch.DeadlineExceeded
-                        ? StatusCode::DeadlineExceeded
-                        : StatusCode::LaunchError,
-                    Out.Launch.Errors.front());
-
     Out.Timing = modelKernelTime(Arch, Out.Launch);
     Out.Seconds = Out.Timing.TotalSeconds;
   }
+  return Acc;
+}
 
-  if (TwoKernel) {
+Expected<ReduceResult>
+ExecutionEngine::runReduction(const synth::SynthesizedVariant &V, BufferId In,
+                              size_t N, ExecMode Mode, Backend B) {
+  // Scratch accumulators are dropped on every exit path, so repeated calls
+  // never grow the device.
+  Device::Scope Scratch(Dev);
+  ReduceResult Out;
+  auto Acc = runStage(V, In, N, Mode, B, Out);
+  if (!Acc)
+    return Acc.status();
+
+  if (V.Desc.usesSecondKernel()) {
     // Reduce the per-block partials with the cooperative second stage
     // (recursively: very large grids need more than one extra pass).
     if (!V.SecondStage)
       return Status(StatusCode::InternalError,
                     "two-kernel variant without a second stage");
     auto Stage =
-        runReduction(*V.SecondStage, ReturnBuf, Config.GridDim, Mode, B);
+        runReduction(*V.SecondStage, *Acc, Out.Launch.GridDim, Mode, B);
     if (!Stage)
       return Stage.status();
     Out.Seconds += Stage->Seconds;
@@ -351,9 +339,9 @@ ExecutionEngine::runReduction(const synth::SynthesizedVariant &V, BufferId In,
     return Out;
   }
 
-  Out.FloatValue = Dev.readFloat(ReturnBuf, 0);
-  Out.IntValue = Dev.readInt(ReturnBuf, 0);
-  Out.IndexValue = Dev.readIndex(ReturnBuf, 0);
+  Out.FloatValue = Dev.readFloat(*Acc, 0);
+  Out.IntValue = Dev.readInt(*Acc, 0);
+  Out.IndexValue = Dev.readIndex(*Acc, 0);
   return Out;
 }
 
@@ -437,12 +425,11 @@ ExecutionEngine::raceCheck(const synth::VariantDescriptor &Desc, size_t N,
 
   // A real (written, non-virtual) input: RaceCheck runs the full grid
   // functionally, and virtual pattern buffers are read-only anyway.
-  size_t Mark = Dev.mark();
+  Device::Scope Scratch(Dev);
   BufferId In = allocSmallInts(Dev, (*V)->Elem, N);
 
   auto Run =
       runReduction(**V, In, N, ExecMode::RaceCheck, Backend::Simulator);
-  Dev.release(Mark);
   if (!Run)
     return Run.status();
 
@@ -474,7 +461,7 @@ ExecutionEngine::timeVariantChecked(const synth::VariantDescriptor &Desc,
       quarantineVariant(Desc, V.status());
     return V.status();
   }
-  size_t Mark = Dev.mark();
+  Device::Scope Scratch(Dev);
   VirtualPattern Pattern;
   BufferId In = Dev.allocVirtual((*V)->Elem, N, Pattern);
   // The simulator times its cycle model over sampled blocks; the native
@@ -495,7 +482,6 @@ ExecutionEngine::timeVariantChecked(const synth::VariantDescriptor &Desc,
     // typed plane and warmed caches; the second run is what a
     // tuning/serving loop pays.
     Out = runReduction(**V, In, N, Mode, B);
-  Dev.release(Mark);
   if (!Out) {
     quarantineVariant(Desc, Out.status());
     return Out.status();
@@ -529,7 +515,7 @@ Status ExecutionEngine::validateVariant(const synth::VariantDescriptor &Desc,
   // Materialized small-integer input: float32 sums of these values stay
   // exact (well under 2^24), so even the float comparison is exact in
   // practice and any mismatch is a real lost/corrupted update.
-  size_t Mark = Dev.mark();
+  Device::Scope Scratch(Dev);
   BufferId In = allocSmallInts(Dev, (*V)->Elem, N);
   ReduceOp Op = Synth->getOp();
   bool IsFloat = ir::isFloatType((*V)->Elem);
@@ -543,7 +529,6 @@ Status ExecutionEngine::validateVariant(const synth::VariantDescriptor &Desc,
 
   auto Run = runReduction(**V, In, N, ExecMode::Functional, B);
   if (!Run) {
-    Dev.release(Mark);
     quarantineVariant(Desc, Run.status());
     return Run.status();
   }
@@ -556,7 +541,6 @@ Status ExecutionEngine::validateVariant(const synth::VariantDescriptor &Desc,
     auto Oracle =
         runReduction(**V, In, N, ExecMode::Functional, Backend::Simulator);
     if (!Oracle) {
-      Dev.release(Mark);
       quarantineVariant(Desc, Oracle.status());
       return Oracle.status();
     }
@@ -573,7 +557,6 @@ Status ExecutionEngine::validateVariant(const synth::VariantDescriptor &Desc,
       Diverged = Run->IntValue != Oracle->IntValue;
     }
     if (Diverged) {
-      Dev.release(Mark);
       Status S(StatusCode::WrongResult,
                strformat("native/simulator divergence: native "
                          "(%.17g/%lld, idx %lld) vs simulator "
@@ -585,7 +568,6 @@ Status ExecutionEngine::validateVariant(const synth::VariantDescriptor &Desc,
       return S;
     }
   }
-  Dev.release(Mark);
 
   // Arg-reductions select (never sum), so both lanes compare exactly; the
   // winning index must match too — a variant that finds the right maximum
@@ -731,7 +713,7 @@ ExecutionEngine::faultCheck(const synth::VariantDescriptor &Desc, size_t N,
   if (!V)
     return V.status();
 
-  size_t Mark = Dev.mark();
+  Device::Scope Scratch(Dev);
   BufferId In = allocSmallInts(Dev, (*V)->Elem, N);
 
   struct PlanScope {
@@ -745,15 +727,12 @@ ExecutionEngine::faultCheck(const synth::VariantDescriptor &Desc, size_t N,
   Machine.setFaultPlan(sim::FaultPlan());
   auto Ref =
       runReduction(**V, In, N, ExecMode::Functional, Backend::Simulator);
-  if (!Ref) {
-    Dev.release(Mark);
+  if (!Ref)
     return Ref.status(); // Broken without any fault: a real error.
-  }
 
   Machine.setFaultPlan(Plan);
   auto Run =
       runReduction(**V, In, N, ExecMode::Functional, Backend::Simulator);
-  Dev.release(Mark);
 
   FaultReport Report;
   Report.Kind = Plan.Kind;

@@ -8,7 +8,9 @@
 /// The one place kernels are compiled and launched. An ExecutionEngine
 /// binds together, for a single architecture:
 ///
-///  - a simulated Device (global memory) and the SimtMachine driving it;
+///  - a simulated Device (global memory) and the two machines that run
+///    kernels on it: the SimtMachine interpreter and the native CPU
+///    backend, both reached through one stage routine (runStage);
 ///  - a persistent ThreadPool the machine uses to interpret independent
 ///    blocks in parallel (deterministic block-index merge order keeps
 ///    functional results and cycle totals bit-identical to a 1-thread run);
@@ -142,14 +144,14 @@ public:
   bool hasCompiler() const { return Synth != nullptr; }
 
   sim::Device &getDevice() { return Dev; }
-  native::NativeMachine &getNativeMachine() { return NativeM; }
   const sim::ArchDesc &getArch() const { return Arch; }
   support::ThreadPool &getThreadPool() { return *Pool; }
   unsigned getThreadCount() const { return Pool->getThreadCount(); }
   const std::shared_ptr<VariantCache> &getCachePtr() const { return Cache; }
   CacheStats getCacheStats() const { return Cache->getStats(); }
 
-  /// Device allocation watermark helpers for scoped scratch buffers.
+  /// Device allocation watermark helpers for scoped scratch buffers
+  /// (sim::Device::Scope does the same for callers holding the device).
   size_t deviceMark() const { return Dev.mark(); }
   void deviceRelease(size_t Mark) { Dev.release(Mark); }
 
@@ -225,6 +227,19 @@ public:
   support::Expected<ReduceResult> run(const ReduceRequest &Req,
                                       const synth::SynthesizedVariant &V);
 
+  /// One stage of a reduction, and the only place a reduction picks its
+  /// machine: allocates \p V's accumulator (one identity-seeded element, or
+  /// per-block partials for a two-kernel variant) and launches \p V over
+  /// \p N elements of \p In on backend \p B. Fills Out.Launch, Out.Seconds
+  /// and, on the simulator, Out.Timing. Returns the accumulator, which
+  /// stays allocated for the caller to read and release. A failed launch
+  /// is a Status: LaunchError, or DeadlineExceeded when the watchdog
+  /// tripped. run() drives the second stage over the partials; the
+  /// serving layer's batch path reads them itself.
+  support::Expected<sim::BufferId>
+  runStage(const synth::SynthesizedVariant &V, sim::BufferId In, size_t N,
+           sim::ExecMode Mode, Backend B, ReduceResult &Out);
+
   /// Runs one diagnostic campaign (race detection, fault injection, or
   /// functional validation) described by \p Req. See DiagnoseRequest for
   /// which fields each kind consumes; see the DiagnoseReport arms for what
@@ -294,9 +309,9 @@ private:
   const QuarantineRecord *
   findQuarantine(const synth::VariantDescriptor &Desc) const;
 
-  /// The body of both run() overloads, past admission: executes \p V over
-  /// \p N elements of \p In on backend \p B, driving the second stage
-  /// recursively.
+  /// The body of both run() overloads, past admission: runStage over \p N
+  /// elements of \p In on backend \p B, then the second stage recursively
+  /// over the partials.
   support::Expected<ReduceResult>
   runReduction(const synth::SynthesizedVariant &V, sim::BufferId In,
                size_t N, sim::ExecMode Mode, Backend B);

@@ -17,6 +17,11 @@
 /// That lane is allocated only once a (value, index) pair is written, so
 /// plain buffers never pay for it; elements without one read index 0.
 ///
+/// A kernel's stores and global atomics reach a buffer as GlobalWrite
+/// entries through Buffer::commit, on both backends: written in place by
+/// blocks that run in order, or logged by blocks that run in parallel and
+/// committed in block-index order, so results match bit for bit.
+///
 /// Buffers come in two flavors:
 ///  - dense: backed by host memory (the default);
 ///  - virtual: read-only pattern-generated contents for the paper's
@@ -104,6 +109,21 @@ template <typename T> struct StorageAllocator {
 /// One typed array of a buffer.
 template <typename T> using Storage = std::vector<T, StorageAllocator<T>>;
 
+/// One store or global atomic of a kernel, on either backend. The value
+/// rides in both numeric lanes, as a register holds it (F for the float
+/// planes, I for the integer one), plus the index payload of pair ops.
+struct GlobalWrite {
+  BufferId Buf = 0;
+  size_t Index = 0;
+  /// An atomic read-modify-write under (Op, Ty); otherwise a plain store.
+  bool Atomic = false;
+  ReduceOp Op = ReduceOp::Add;
+  ir::ScalarType Ty = ir::ScalarType::I32;
+  double F = 0;
+  long long I = 0;
+  long long Idx = 0;
+};
+
 /// Pattern for virtual buffers: value(i) = Base + Scale * (i % Modulus).
 struct VirtualPattern {
   double Base = 0.0;
@@ -181,6 +201,16 @@ public:
     if (!Idx.empty())
       Idx[I] = C.Idx;
   }
+
+  /// Applies \p W to element W.Index on the buffer's typed arrays. A
+  /// store is write(). An atomic folds the value into the element with
+  /// applyReduceOpPair (non-pair ops leave the index lane alone): in
+  /// double on the float planes, an F32 result rounded once to float, and
+  /// wrapped to the instruction's and the element's type on the integer
+  /// plane. For every op kernels emit that is exactly what the
+  /// interpreter's Cell registers compute and what float arithmetic on
+  /// the native backend's planes computes (see NativeMachine.cpp).
+  void commit(const GlobalWrite &W);
 
   /// The typed element array of the buffer's plane (null on the other two
   /// planes, and on a virtual buffer until materialize()).
@@ -310,6 +340,20 @@ public:
     Buffers.erase(Buffers.begin() + static_cast<ptrdiff_t>(Mark),
                   Buffers.end());
   }
+
+  /// Scratch buffers for one scope: releases, on every exit path, each
+  /// buffer allocated after the guard was made.
+  class Scope {
+  public:
+    explicit Scope(Device &Dev) : Dev(Dev), Mark(Dev.mark()) {}
+    ~Scope() { Dev.release(Mark); }
+    Scope(const Scope &) = delete;
+    Scope &operator=(const Scope &) = delete;
+
+  private:
+    Device &Dev;
+    size_t Mark;
+  };
 
 private:
   std::vector<Buffer> Buffers;

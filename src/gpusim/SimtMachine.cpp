@@ -11,6 +11,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -113,6 +114,12 @@ namespace {
 
 constexpr unsigned WarpLanes = 32;
 
+double hostSeconds() {
+  using Clock = std::chrono::steady_clock;
+  return std::chrono::duration<double>(Clock::now().time_since_epoch())
+      .count();
+}
+
 // Integer wrap / saturated float->int conversion live in ir/Bytecode.h
 // (wrapToType / saturatingIntOf) so the native CPU backend shares the
 // exact semantics; the local names keep this file's call sites readable.
@@ -137,9 +144,9 @@ void setF(Cell &C, double V, ScalarType Ty = ScalarType::F32) {
   }
 }
 
-/// Applies a reduce op to a memory cell. Pair ops fold (value, index) with
-/// the smaller-index tie-break; the element type picks the authoritative
-/// value lane.
+/// Applies a reduce op to a shared-memory cell. Pair ops fold (value,
+/// index) with the smaller-index tie-break; the element type picks the
+/// authoritative value lane. Global atomics go through Buffer::commit.
 void atomicApply(ReduceOp Op, ScalarType Ty, Cell &Target, const Cell &V) {
   if (isArgReduce(Op)) {
     if (isFloatType(Ty)) {
@@ -156,27 +163,6 @@ void atomicApply(ReduceOp Op, ScalarType Ty, Cell &Target, const Cell &V) {
   else
     setI(Target, wrapInt(Ty, applyReduceOp<long long>(Op, Target.I, V.I)));
 }
-
-/// The same read-modify-write on element \p Idx of a device buffer.
-void atomicApply(ReduceOp Op, ScalarType Ty, Buffer &B, size_t Idx,
-                 const Cell &V) {
-  Cell Target = B.read(Idx);
-  atomicApply(Op, Ty, Target, V);
-  B.write(Idx, Target);
-}
-
-/// One deferred global-memory write recorded while a block executes in
-/// parallel mode. Entries keep program order within the block; replaying
-/// whole logs in block-index order reproduces the exact memory state the
-/// sequential block loop would have produced.
-struct GlobalEffect {
-  BufferId Buf = 0;
-  size_t Idx = 0;
-  bool Atomic = false;
-  ReduceOp Op = ReduceOp::Add;
-  ScalarType Ty = ScalarType::I32;
-  Cell Value;
-};
 
 struct Frame {
   uint32_t Saved = 0;
@@ -207,7 +193,7 @@ public:
                 const CompiledKernel &Kernel, const LaunchConfig &Config,
                 const std::vector<ArgValue> &Args, unsigned BlockIdx,
                 ExecStats &Stats, std::vector<std::string> &Errors,
-                std::vector<GlobalEffect> *Log = nullptr,
+                std::vector<GlobalWrite> *Log = nullptr,
                 RaceDetector *Race = nullptr,
                 FaultInjector *Fault = nullptr,
                 uint64_t InstrBudget = ~0ull)
@@ -257,6 +243,14 @@ private:
     if (Errors.size() < 8)
       Errors.push_back("kernel '" + Kernel.Name + "' block " +
                        strformat("%u", BlockIdx) + ": " + Msg);
+  }
+
+  /// Logs \p W (parallel mode) or commits it to device memory in place.
+  void writeGlobal(const GlobalWrite &W) {
+    if (Log)
+      Log->push_back(W);
+    else
+      Dev.get(W.Buf).commit(W);
   }
 
   void initShared() {
@@ -681,11 +675,9 @@ private:
               V = Fault->corrupt(V, In.Ty);
               Flip = false;
             }
-            if (Log)
-              Log->push_back({Args[In.MemId].Id, static_cast<size_t>(Idx),
-                              false, ReduceOp::Add, In.Ty, V});
-            else
-              B->write(static_cast<size_t>(Idx), V);
+            writeGlobal({Args[In.MemId].Id, static_cast<size_t>(Idx),
+                         /*Atomic=*/false, ReduceOp::Add, In.Ty, V.F, V.I,
+                         V.Idx});
           } else {
             error("store to a read-only (virtual) buffer");
           }
@@ -848,14 +840,10 @@ private:
               Dup = false;
               Applies = 2; // Replayed read-modify-write.
             }
-            for (unsigned A = 0; A != Applies; ++A) {
-              if (Log)
-                Log->push_back({Args[In.MemId].Id, static_cast<size_t>(Idx),
-                                true, Op, In.Ty, reg(W, In.Src2, L)});
-              else
-                atomicApply(Op, In.Ty, *B, static_cast<size_t>(Idx),
-                            reg(W, In.Src2, L));
-            }
+            const Cell &V = reg(W, In.Src2, L);
+            for (unsigned A = 0; A != Applies; ++A)
+              writeGlobal({Args[In.MemId].Id, static_cast<size_t>(Idx),
+                           /*Atomic=*/true, Op, In.Ty, V.F, V.I, V.Idx});
           } else {
             error("atomic on a read-only (virtual) buffer");
           }
@@ -1059,7 +1047,7 @@ private:
   unsigned BlockIdx;
   ExecStats &Stats;
   std::vector<std::string> &Errors;
-  std::vector<GlobalEffect> *Log;
+  std::vector<GlobalWrite> *Log;
   RaceDetector *Race;
   FaultInjector *Fault;
   uint64_t InstrBudget;
@@ -1072,10 +1060,9 @@ private:
   std::vector<std::vector<Cell>> SharedMem;
 };
 
-} // namespace
-
-bool tangram::sim::kernelLoadsWrittenBuffer(const CompiledKernel &Kernel,
-                                            const std::vector<ArgValue> &Args) {
+/// True when \p Kernel loads a buffer it also writes (store or atomic).
+bool kernelLoadsWrittenBuffer(const CompiledKernel &Kernel,
+                              const std::vector<ArgValue> &Args) {
   std::vector<BufferId> Loads, Writes;
   for (const Instr &In : Kernel.Code) {
     if (In.Op != Opcode::LdGlobal && In.Op != Opcode::StGlobal &&
@@ -1092,6 +1079,70 @@ bool tangram::sim::kernelLoadsWrittenBuffer(const CompiledKernel &Kernel,
   return false;
 }
 
+} // namespace
+
+LaunchPlan tangram::sim::planLaunch(const CompiledKernel &Kernel,
+                                   const LaunchConfig &Config,
+                                   const std::vector<ArgValue> &Args,
+                                   const support::ThreadPool *Pool) {
+  LaunchPlan Plan;
+  if (Config.GridDim == 0 || Config.BlockDim == 0) {
+    Plan.Error = "empty launch configuration";
+    return Plan;
+  }
+  if (Args.size() != Kernel.Source->getParams().size()) {
+    Plan.Error = "argument count does not match kernel params";
+    return Plan;
+  }
+  Plan.Budget = Config.MaxWarpInstructions;
+  if (Plan.Budget == 0) {
+    uint64_t MaxScalar = 0;
+    for (const ArgValue &A : Args)
+      if (!A.IsBuffer)
+        MaxScalar = std::max(MaxScalar,
+                             static_cast<uint64_t>(std::max(0ll, A.Scalar.I)));
+    uint64_t NumWarps = (Config.BlockDim + WarpLanes - 1) / WarpLanes;
+    Plan.Budget = (1ull << 20) +
+                  4096ull * (Kernel.Code.size() + 16) * NumWarps +
+                  64ull * MaxScalar;
+  }
+  Plan.Parallel = Pool && Pool->getThreadCount() > 1 && Config.GridDim > 1 &&
+                  !kernelLoadsWrittenBuffer(Kernel, Args);
+  return Plan;
+}
+
+void tangram::sim::runGrid(Device &Dev, support::ThreadPool *Pool,
+                           bool Parallel, size_t NumBlocks,
+                           const RunBlockFn &Run, LaunchResult &Result) {
+  const double Start = hostSeconds();
+  auto Merge = [&](BlockOutcome &O) {
+    Result.DeadlineExceeded |= O.DeadlineExceeded;
+    for (const GlobalWrite &W : O.Writes)
+      Dev.get(W.Buf).commit(W);
+    for (std::string &Msg : O.Errors)
+      if (Result.Errors.size() < 8)
+        Result.Errors.push_back(std::move(Msg));
+    if (Result.SharedBytesPerBlock == 0)
+      Result.SharedBytesPerBlock = O.Stats.SharedBytes;
+    Result.Stats.accumulate(O.Stats);
+  };
+  if (Parallel) {
+    std::vector<BlockOutcome> Outcomes(NumBlocks);
+    Pool->parallelFor(NumBlocks, [&](size_t I) {
+      Run(I, Outcomes[I], &Outcomes[I].Writes);
+    });
+    for (BlockOutcome &O : Outcomes)
+      Merge(O);
+  } else {
+    for (size_t I = 0; I != NumBlocks; ++I) {
+      BlockOutcome O;
+      Run(I, O, /*Log=*/nullptr);
+      Merge(O);
+    }
+  }
+  Result.HostSeconds = hostSeconds() - Start;
+}
+
 LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
                                  const LaunchConfig &Config,
                                  const std::vector<ArgValue> &Args,
@@ -1100,18 +1151,15 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
   Result.GridDim = Config.GridDim;
   Result.BlockDim = Config.BlockDim;
 
-  if (Config.GridDim == 0 || Config.BlockDim == 0) {
-    Result.Errors.push_back("empty launch configuration");
+  LaunchPlan Plan = planLaunch(Kernel, Config, Args, Pool);
+  if (!Plan.Error.empty()) {
+    Result.Errors.push_back(Plan.Error);
     return Result;
   }
   if (Config.BlockDim > Arch.MaxThreadsPerBlock) {
     Result.Errors.push_back(
         strformat("block size %u exceeds the architecture limit %u",
                   Config.BlockDim, Arch.MaxThreadsPerBlock));
-    return Result;
-  }
-  if (Args.size() != Kernel.Source->getParams().size()) {
-    Result.Errors.push_back("argument count does not match kernel params");
     return Result;
   }
 
@@ -1131,25 +1179,6 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
   Result.Sampled = Sampled;
   Result.BlocksSimulated = static_cast<unsigned>(Blocks.size());
 
-  uint64_t HotOps = 0;
-  // Watchdog budget: callers can size it precisely; 0 derives a generous
-  // default from the kernel size, warp count, and the largest scalar
-  // argument (a proxy for the problem size a serial kernel may legally
-  // walk). The default is deliberately loose — orders of magnitude above
-  // any legitimate kernel's issue count — but finite, so a livelocked
-  // lock loop always traps instead of spinning forever.
-  uint64_t Budget = Config.MaxWarpInstructions;
-  if (Budget == 0) {
-    uint64_t MaxScalar = 0;
-    for (const ArgValue &A : Args)
-      if (!A.IsBuffer)
-        MaxScalar = std::max(MaxScalar,
-                             static_cast<uint64_t>(std::max(0ll, A.Scalar.I)));
-    uint64_t NumWarps = (Config.BlockDim + WarpLanes - 1) / WarpLanes;
-    Budget = (1ull << 20) +
-             4096ull * (Kernel.Code.size() + 16) * NumWarps +
-             64ull * MaxScalar;
-  }
   // RaceCheck interleaves one detector through every block in block-index
   // order, so it forces the sequential path (and, because Sampled is off,
   // the full grid). An active fault plan does the same: one injector's
@@ -1161,71 +1190,22 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
   std::unique_ptr<FaultInjector> Injector;
   if (Fault.active())
     Injector = std::make_unique<FaultInjector>(Fault);
-  const bool Parallel = !Race && !Injector && Pool &&
-                        Pool->getThreadCount() > 1 && Blocks.size() > 1 &&
-                        !kernelLoadsWrittenBuffer(Kernel, Args);
-  if (!Parallel) {
-    for (unsigned B : Blocks) {
-      ExecStats BlockStats;
-      if (Race)
-        Race->beginBlock(B);
-      BlockExecutor Exec(Dev, Arch, Kernel, Config, Args, B, BlockStats,
-                         Result.Errors, /*Log=*/nullptr, Race.get(),
-                         Injector.get(), Budget);
-      Exec.run();
-      Result.DeadlineExceeded |= Exec.hitDeadline();
-      uint64_t BlockHot = 0;
-      for (const auto &[Addr, Ops] : Exec.GlobalAtomicAddrOps)
-        BlockHot = std::max(BlockHot, Ops);
-      HotOps += BlockHot;
-      if (Result.SharedBytesPerBlock == 0)
-        Result.SharedBytesPerBlock = BlockStats.SharedBytes;
-      Result.Stats.accumulate(BlockStats);
-    }
-  } else {
-    // Interpret blocks concurrently. Every block reads the pristine device
-    // image (the gate above rejected kernels that load what they write) and
-    // defers its writes into a private program-ordered log; replaying the
-    // logs and merging stats/errors in block-index order afterwards keeps
-    // results, cycle counts, and error lists bit-identical to the
-    // sequential loop above.
-    struct BlockOutcome {
-      ExecStats Stats;
-      std::vector<std::string> Errors;
-      std::vector<GlobalEffect> Effects;
-      uint64_t HotOps = 0;
-      bool DeadlineExceeded = false;
-    };
-    std::vector<BlockOutcome> Outcomes(Blocks.size());
-    Pool->parallelFor(Blocks.size(), [&](size_t I) {
-      BlockOutcome &O = Outcomes[I];
-      BlockExecutor Exec(Dev, Arch, Kernel, Config, Args, Blocks[I], O.Stats,
-                         O.Errors, &O.Effects, /*Race=*/nullptr,
-                         /*Fault=*/nullptr, Budget);
-      Exec.run();
-      O.DeadlineExceeded = Exec.hitDeadline();
-      for (const auto &[Addr, Ops] : Exec.GlobalAtomicAddrOps)
-        O.HotOps = std::max(O.HotOps, Ops);
-    });
-    for (BlockOutcome &O : Outcomes) {
-      Result.DeadlineExceeded |= O.DeadlineExceeded;
-      for (const GlobalEffect &E : O.Effects) {
-        Buffer &B = Dev.get(E.Buf);
-        if (E.Atomic)
-          atomicApply(E.Op, E.Ty, B, E.Idx, E.Value);
-        else
-          B.write(E.Idx, E.Value);
-      }
-      for (std::string &Msg : O.Errors)
-        if (Result.Errors.size() < 8)
-          Result.Errors.push_back(std::move(Msg));
-      HotOps += O.HotOps;
-      if (Result.SharedBytesPerBlock == 0)
-        Result.SharedBytesPerBlock = O.Stats.SharedBytes;
-      Result.Stats.accumulate(O.Stats);
-    }
-  }
-  Result.Stats.GlobalAtomicHotOps = HotOps;
+  runGrid(
+      Dev, Pool, Plan.Parallel && !Race && !Injector, Blocks.size(),
+      [&](size_t I, BlockOutcome &O, std::vector<GlobalWrite> *Log) {
+        if (Race)
+          Race->beginBlock(Blocks[I]);
+        BlockExecutor Exec(Dev, Arch, Kernel, Config, Args, Blocks[I],
+                           O.Stats, O.Errors, Log, Race.get(), Injector.get(),
+                           Plan.Budget);
+        Exec.run();
+        O.DeadlineExceeded = Exec.hitDeadline();
+        // The block's hottest global address; summed over blocks.
+        for (const auto &[Addr, Ops] : Exec.GlobalAtomicAddrOps)
+          O.Stats.GlobalAtomicHotOps =
+              std::max(O.Stats.GlobalAtomicHotOps, Ops);
+      },
+      Result);
   if (Injector)
     Result.FaultsInjected = Injector->getFireCount();
   if (Race) {
@@ -1233,8 +1213,6 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
     Result.RaceConflicts = Race->getConflictCount();
     Result.RaceCheckTruncated = Race->isTruncated();
   }
-  // SharedBytes accumulated per block; keep the per-block value in the
-  // aggregate too (scaled like everything else below).
 
   if (Sampled) {
     double Factor =

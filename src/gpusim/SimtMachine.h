@@ -32,6 +32,7 @@
 #include "gpusim/RaceDetector.h"
 #include "ir/Bytecode.h"
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -137,20 +138,73 @@ struct LaunchResult {
   bool DeadlineExceeded = false;
   /// Faults the active FaultPlan actually applied during this launch.
   uint64_t FaultsInjected = 0;
+  /// Host wall-clock seconds spent running the blocks and committing their
+  /// writes. It is the native backend's reported time; the simulator's is
+  /// modeled from Stats.
+  double HostSeconds = 0;
 
   bool ok() const { return Errors.empty(); }
 };
 
+/// What a launch decides before its first block, the same way on both
+/// machines (see planLaunch).
+struct LaunchPlan {
+  /// Why the launch cannot run; empty when it can.
+  std::string Error;
+  /// Per-block warp-instruction budget (the watchdog).
+  uint64_t Budget = 0;
+  /// Blocks may run concurrently, each logging its global writes for a
+  /// commit in block-index order. Otherwise blocks run in index order and
+  /// write in place.
+  bool Parallel = false;
+};
+
+/// The launch prologue of both machines. Checks that the grid is not empty
+/// and that \p Args has one value per kernel parameter. Takes the watchdog
+/// budget from Config.MaxWarpInstructions, or when that is 0 derives a
+/// generous default from the kernel size, warp count and largest scalar
+/// argument: loose, but finite, so a livelocked lock loop always traps.
+/// Blocks may run in parallel on a \p Pool of more than one thread, for a
+/// grid of more than one block, unless the kernel loads a buffer it also
+/// writes (store or atomic): the only shape where deferred writes could
+/// change what later blocks observe.
+LaunchPlan planLaunch(const ir::CompiledKernel &Kernel,
+                      const LaunchConfig &Config,
+                      const std::vector<ArgValue> &Args,
+                      const support::ThreadPool *Pool);
+
+/// What one block leaves for its launch to merge.
+struct BlockOutcome {
+  ExecStats Stats;
+  std::vector<std::string> Errors;
+  /// The block's global writes in program order, when it ran in parallel.
+  std::vector<GlobalWrite> Writes;
+  bool DeadlineExceeded = false;
+};
+
+/// Runs one block: block number \p I of the launch's list, into \p Out.
+/// Its global writes go to \p Log when that is non-null, else straight to
+/// device memory.
+using RunBlockFn = std::function<void(size_t I, BlockOutcome &Out,
+                                      std::vector<GlobalWrite> *Log)>;
+
+/// The grid loop of both machines: runs \p NumBlocks blocks through \p Run,
+/// concurrently on \p Pool when \p Parallel, else in order, and merges the
+/// outcomes into \p Result in block order: writes committed, the first 8
+/// errors kept, deadline flags and stats accumulated, the first block's
+/// shared bytes and the host seconds recorded.
+void runGrid(Device &Dev, support::ThreadPool *Pool, bool Parallel,
+             size_t NumBlocks, const RunBlockFn &Run, LaunchResult &Result);
+
 /// Executes kernels on a Device according to an ArchDesc.
 ///
-/// When constructed with a thread pool of more than one thread, independent
-/// blocks are interpreted concurrently: each block runs against the pristine
-/// device image and defers its global-memory writes into a private,
-/// program-ordered effect log; after all blocks finish, the logs are
-/// replayed in block-index order. Functional results, modeled cycle counts,
-/// and error lists are therefore bit-identical to the sequential path.
-/// Kernels that load a buffer they also write (store or atomic) fall back to
-/// sequential execution automatically.
+/// A launch takes the path both machines share: planLaunch, then runGrid.
+/// With a thread pool of more than one thread, independent blocks are
+/// interpreted concurrently against the pristine device image, each logging
+/// its global writes in program order; runGrid commits the logs in
+/// block-index order. Functional results, modeled cycle counts and error
+/// lists are therefore bit-identical to the sequential path. RaceCheck
+/// launches and launches under an active fault plan always run in order.
 class SimtMachine {
 public:
   SimtMachine(Device &Dev, const ArchDesc &Arch,
@@ -185,14 +239,6 @@ private:
 long long evalUniformExpr(const ir::Expr *E, const ir::CompiledKernel &Kernel,
                           const std::vector<ArgValue> &Args,
                           const LaunchConfig &Config);
-
-/// True when \p Kernel loads a buffer it also writes (store or atomic):
-/// the only shape where deferred-write block parallelism could change what
-/// later blocks observe. Such launches run their blocks sequentially with
-/// writes applied in place — on the interpreter and on the native CPU
-/// backend alike, so both stay bit-identical to the sequential loop.
-bool kernelLoadsWrittenBuffer(const ir::CompiledKernel &Kernel,
-                              const std::vector<ArgValue> &Args);
 
 } // namespace tangram::sim
 

@@ -79,7 +79,6 @@ public:
       : Stmt(Kind::Compound, Loc), Body(std::move(Body)) {}
 
   const std::vector<Stmt *> &getBody() const { return Body; }
-  std::vector<Stmt *> &getBody() { return Body; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Compound; }
 
@@ -355,11 +354,6 @@ public:
   const std::vector<Expr *> &getArgs() const { return Args; }
   CalleeKind getCalleeKind() const { return Resolved; }
   void setCalleeKind(CalleeKind CK) { Resolved = CK; }
-  /// True when Sema marked this spectrum call disabled. The global-atomic
-  /// AST pass (Section III-A) disables a spectrum call whose accumulation is
-  /// subsumed by a Map atomic API in the atomic code variant.
-  bool isDisabled() const { return Disabled; }
-  void setDisabled(bool D) { Disabled = D; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Call; }
 
@@ -367,7 +361,6 @@ private:
   std::string Callee;
   std::vector<Expr *> Args;
   CalleeKind Resolved = CalleeKind::Unresolved;
-  bool Disabled = false;
 };
 
 /// What a member call resolved to (Fig. 2 plus the Section III-A Map APIs).

@@ -38,23 +38,3 @@ const Type *ASTContext::getArrayType(const Type *Element, bool Const) {
   ArrayTypes.push_back(newType(Type::Kind::Array, Element, Const));
   return ArrayTypes.back().get();
 }
-
-IntLiteralExpr *ASTContext::makeIntLiteral(long long Value) {
-  auto *E = create<IntLiteralExpr>(Value, SourceLoc());
-  E->setType(getIntType());
-  return E;
-}
-
-DeclRefExpr *ASTContext::makeRef(ValueDecl *D) {
-  auto *E = create<DeclRefExpr>(D->getName(), SourceLoc());
-  E->setDecl(D);
-  E->setType(D->getType());
-  return E;
-}
-
-BinaryExpr *ASTContext::makeBinary(BinaryOpKind Op, Expr *LHS, Expr *RHS,
-                                   const Type *Ty) {
-  auto *E = create<BinaryExpr>(Op, LHS, RHS, SourceLoc());
-  E->setType(Ty);
-  return E;
-}

@@ -54,12 +54,6 @@ public:
   /// Returns the uniqued `Array<1, Element>` type (const-qualified or not).
   const Type *getArrayType(const Type *Element, bool Const);
 
-  /// Convenience builders used heavily by the transforms and the planner.
-  IntLiteralExpr *makeIntLiteral(long long Value);
-  DeclRefExpr *makeRef(ValueDecl *D);
-  BinaryExpr *makeBinary(BinaryOpKind Op, Expr *LHS, Expr *RHS,
-                         const Type *Ty);
-
 private:
   std::vector<std::unique_ptr<void, void (*)(void *)>> Allocations;
 

@@ -60,8 +60,6 @@ public:
     }
     case Stmt::Kind::Call: {
       const auto *C = cast<CallExpr>(E);
-      if (C->isDisabled())
-        OS << "/*disabled*/";
       OS << C->getCallee() << '(';
       printArgs(C->getArgs());
       OS << ')';

@@ -13,7 +13,10 @@
 // multi-element load, which the interpreter accumulates in double — the
 // machine below does the same there. Integer and pair (argmin/argmax)
 // semantics are shared outright via ir::wrapToType / ir::saturatingIntOf /
-// applyReduceOp*, so int results are always bitwise equal.
+// applyReduceOp*, so int results are always bitwise equal. Global stores
+// and atomics of both machines commit through sim::Buffer::commit, which
+// folds F32 in double and rounds once: by the argument above, exactly the
+// float operation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +29,6 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <type_traits>
 
@@ -39,12 +41,6 @@ using sim::LaunchConfig;
 
 namespace {
 
-double nowSeconds() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(Clock::now().time_since_epoch())
-      .count();
-}
-
 /// Typed, non-owning window into one pointer argument's device buffer.
 struct View {
   bool IsBuffer = false;
@@ -56,71 +52,6 @@ struct View {
   long long *I = nullptr;
   long long *Idx = nullptr;
 };
-
-/// One deferred global write (parallel mode), program-ordered per block.
-/// The value rides in the widest lane of its plane plus the index payload.
-struct Effect {
-  uint16_t Mem = 0; ///< Pointer-parameter index (selects the View).
-  size_t Index = 0;
-  bool Atomic = false;
-  ReduceOp Op = ReduceOp::Add;
-  ScalarType Ty = ScalarType::I32;
-  double F = 0;
-  long long I = 0;
-  long long Idx = 0;
-};
-
-/// Applies one store/atomic to the buffer behind \p V, with the exact
-/// combine semantics of the interpreter's atomicApply.
-void applyEffect(std::vector<View> &Views, const Effect &E) {
-  View &V = Views[E.Mem];
-  size_t I = E.Index;
-  if (!E.Atomic) {
-    switch (V.P) {
-    case Plane::F32:
-      V.F32[I] = static_cast<float>(E.F);
-      break;
-    case Plane::F64:
-      V.F64[I] = E.F;
-      break;
-    case Plane::Int:
-      V.I[I] = E.I;
-      break;
-    }
-    if (V.Idx)
-      V.Idx[I] = E.Idx;
-    return;
-  }
-  if (isArgReduce(E.Op)) {
-    long long IdxLane = V.Idx ? V.Idx[I] : 0;
-    switch (V.P) {
-    case Plane::F32:
-      applyReduceOpPair(E.Op, V.F32[I], IdxLane, static_cast<float>(E.F),
-                        E.Idx);
-      break;
-    case Plane::F64:
-      applyReduceOpPair(E.Op, V.F64[I], IdxLane, E.F, E.Idx);
-      break;
-    case Plane::Int:
-      applyReduceOpPair(E.Op, V.I[I], IdxLane, E.I, E.Idx);
-      break;
-    }
-    if (V.Idx)
-      V.Idx[I] = IdxLane;
-    return;
-  }
-  switch (V.P) {
-  case Plane::F32:
-    V.F32[I] = applyReduceOp<float>(E.Op, V.F32[I], static_cast<float>(E.F));
-    break;
-  case Plane::F64:
-    V.F64[I] = applyReduceOp<double>(E.Op, V.F64[I], E.F);
-    break;
-  case Plane::Int:
-    V.I[I] = wrapToType(E.Ty, applyReduceOp<long long>(E.Op, V.I[I], E.I));
-    break;
-  }
-}
 
 struct Frame {
   uint32_t Saved = 0;
@@ -160,32 +91,35 @@ class NativeBlockExec {
 public:
   NativeBlockExec(const NativeKernel &NK, const LaunchConfig &Config,
                   const std::vector<ArgValue> &Args,
-                  std::vector<View> &Views, unsigned BlockIdx,
-                  std::vector<std::string> &Errors,
-                  std::vector<Effect> *Log, uint64_t InstrBudget)
+                  std::vector<View> &Views, sim::Device &Dev,
+                  uint64_t InstrBudget)
       : NK(NK), K(*NK.Code), Config(Config), Args(Args), Views(Views),
-        BlockIdx(BlockIdx), Errors(Errors), Log(Log),
-        InstrBudget(InstrBudget) {}
+        Dev(Dev), InstrBudget(InstrBudget) {}
 
-  uint64_t WarpInstructions = 0;
-  uint64_t LaneInstructions = 0;
-
-  bool hitDeadline() const { return BudgetExhausted; }
-
-  /// Re-targets this executor at block \p B and runs it. Reusing one
-  /// executor across a sequential grid keeps the per-warp plane vectors'
-  /// storage allocated (init* re-fill in place), which matters when the
-  /// grid has hundreds of thousands of small blocks. The instruction
-  /// budget and deadline flag are per-block, exactly as if freshly
-  /// constructed; WarpInstructions/LaneInstructions keep accumulating.
-  void runBlock(unsigned B) {
+  /// Runs block \p B into \p Out, logging its global writes to \p BlockLog
+  /// when that is non-null and committing them in place otherwise. Reusing
+  /// one executor across a sequential grid keeps the per-warp plane
+  /// vectors' storage allocated (init* re-fill in place), which matters
+  /// when the grid has hundreds of thousands of small blocks. The
+  /// instruction budget, deadline flag and counts are per block, exactly
+  /// as if freshly constructed.
+  void runBlock(unsigned B, sim::BlockOutcome &Out,
+                std::vector<sim::GlobalWrite> *BlockLog) {
     BlockIdx = B;
+    Errors = &Out.Errors;
+    Log = BlockLog;
     IssuedWarpInstrs = 0;
     BudgetExhausted = false;
     DeadlineReported = false;
+    WarpInstructions = 0;
+    LaneInstructions = 0;
     run();
+    Out.DeadlineExceeded = BudgetExhausted;
+    Out.Stats.WarpInstructions = WarpInstructions;
+    Out.Stats.LaneInstructions = LaneInstructions;
   }
 
+private:
   void run() {
     initShared();
     initWarps();
@@ -215,11 +149,18 @@ public:
       deadline();
   }
 
-private:
   void error(const std::string &Msg) {
-    if (Errors.size() < 8)
-      Errors.push_back("kernel '" + K.Name + "' block " +
-                       strformat("%u", BlockIdx) + ": " + Msg);
+    if (Errors->size() < 8)
+      Errors->push_back("kernel '" + K.Name + "' block " +
+                        strformat("%u", BlockIdx) + ": " + Msg);
+  }
+
+  /// Logs \p W (parallel mode) or commits it to device memory in place.
+  void writeGlobal(const sim::GlobalWrite &W) {
+    if (Log)
+      Log->push_back(W);
+    else
+      Dev.get(W.Buf).commit(W);
   }
 
   void initShared() {
@@ -876,9 +817,24 @@ private:
     }
   }
 
-  /// Reads one lane's store value off its live plane into Effect-shaped
-  /// (F, I, Idx) views, with the interpreter's cell-mirror conversions.
-  /// A plane-uniform source (`All`) reads each view off its own plane.
+  /// Lane \p L's store or atomic \p In to element \p Index: the value
+  /// read off its live plane into the write's (F, I, Idx) lanes.
+  sim::GlobalWrite globalWrite(NWarp &W, const Instr &In, size_t Index,
+                               unsigned L, ValuePlane VP) {
+    sim::GlobalWrite G;
+    G.Buf = Args[In.MemId].Id;
+    G.Index = Index;
+    G.Atomic = In.Op == Opcode::AtomGlobal;
+    G.Op = G.Atomic ? static_cast<ReduceOp>(In.Aux) : ReduceOp::Add;
+    G.Ty = In.Ty;
+    readStoreValue(W, In.Src2, L, VP, G.F, G.I, G.Idx);
+    return G;
+  }
+
+  /// Reads one lane's store value off its live plane into (F, I, Idx),
+  /// with the interpreter's cell-mirror conversions. A plane-uniform
+  /// source (`All`) reads each lane off its own plane.
+
   void readStoreValue(NWarp &W, uint16_t Reg, unsigned L, ValuePlane VP,
                       double &F, long long &I, long long &Idx) {
     F = 0;
@@ -912,71 +868,31 @@ private:
     Idx = NK.PairMode ? xp(W, Reg)[L] : 0;
   }
 
-  void opStGlobal(NWarp &W, const Instr &In, ValuePlane VP) {
+  /// A store or global atomic, one GlobalWrite per active lane.
+  void opGlobalWrite(NWarp &W, const Instr &In, ValuePlane VP) {
     View &V = Views[In.MemId];
     uint32_t M = W.Active;
     if (!V.IsBuffer) {
       error("pointer parameter bound to a scalar argument");
       return;
     }
+    const bool Atomic = In.Op == Opcode::AtomGlobal;
     const long long *IdxP = ip(W, In.Src1);
     for (unsigned L = 0; L != WarpLanes; ++L) {
       if (!(M >> L & 1u))
         continue;
       long long Idx = IdxP[L];
       if (Idx < 0 || static_cast<uint64_t>(Idx) >= V.Size) {
-        error(strformat("global store out of bounds (index %lld)", Idx));
+        error(strformat("global %s out of bounds (index %lld)",
+                        Atomic ? "atomic" : "store", Idx));
         continue;
       }
       if (!V.Writable) {
-        error("store to a read-only (virtual) buffer");
+        error(Atomic ? "atomic on a read-only (virtual) buffer"
+                     : "store to a read-only (virtual) buffer");
         continue;
       }
-      Effect E;
-      E.Mem = In.MemId;
-      E.Index = static_cast<size_t>(Idx);
-      E.Atomic = false;
-      E.Ty = In.Ty;
-      readStoreValue(W, In.Src2, L, VP, E.F, E.I, E.Idx);
-      if (Log)
-        Log->push_back(E);
-      else
-        applyEffect(Views, E);
-    }
-  }
-
-  void opAtomGlobal(NWarp &W, const Instr &In, ValuePlane VP) {
-    View &V = Views[In.MemId];
-    auto Op = static_cast<ReduceOp>(In.Aux);
-    uint32_t M = W.Active;
-    if (!V.IsBuffer) {
-      error("pointer parameter bound to a scalar argument");
-      return;
-    }
-    const long long *IdxP = ip(W, In.Src1);
-    for (unsigned L = 0; L != WarpLanes; ++L) {
-      if (!(M >> L & 1u))
-        continue;
-      long long Idx = IdxP[L];
-      if (Idx < 0 || static_cast<uint64_t>(Idx) >= V.Size) {
-        error(strformat("global atomic out of bounds (index %lld)", Idx));
-        continue;
-      }
-      if (!V.Writable) {
-        error("atomic on a read-only (virtual) buffer");
-        continue;
-      }
-      Effect E;
-      E.Mem = In.MemId;
-      E.Index = static_cast<size_t>(Idx);
-      E.Atomic = true;
-      E.Op = Op;
-      E.Ty = In.Ty;
-      readStoreValue(W, In.Src2, L, VP, E.F, E.I, E.Idx);
-      if (Log)
-        Log->push_back(E);
-      else
-        applyEffect(Views, E);
+      writeGlobal(globalWrite(W, In, static_cast<size_t>(Idx), L, VP));
     }
   }
 
@@ -1255,7 +1171,8 @@ private:
         ++W.PC;
         break;
       case Opcode::StGlobal:
-        opStGlobal(W, In, NK.OperandPlane[W.PC]);
+      case Opcode::AtomGlobal:
+        opGlobalWrite(W, In, NK.OperandPlane[W.PC]);
         charge(W.Active);
         ++W.PC;
         break;
@@ -1271,11 +1188,6 @@ private:
         break;
       case Opcode::AtomShared:
         opAtomShared(W, In, NK.OperandPlane[W.PC]);
-        charge(W.Active);
-        ++W.PC;
-        break;
-      case Opcode::AtomGlobal:
-        opAtomGlobal(W, In, NK.OperandPlane[W.PC]);
         charge(W.Active);
         ++W.PC;
         break;
@@ -1374,10 +1286,13 @@ private:
   const LaunchConfig &Config;
   const std::vector<ArgValue> &Args;
   std::vector<View> &Views;
-  unsigned BlockIdx;
-  std::vector<std::string> &Errors;
-  std::vector<Effect> *Log;
+  sim::Device &Dev;
   uint64_t InstrBudget;
+  unsigned BlockIdx = 0;
+  std::vector<std::string> *Errors = nullptr;
+  std::vector<sim::GlobalWrite> *Log = nullptr;
+  uint64_t WarpInstructions = 0;
+  uint64_t LaneInstructions = 0;
   uint64_t IssuedWarpInstrs = 0;
   bool BudgetExhausted = false;
   bool DeadlineReported = false;
@@ -1387,26 +1302,24 @@ private:
 
 } // namespace
 
-NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
-                                         const LaunchConfig &Config,
-                                         const std::vector<ArgValue> &Args) {
-  NativeLaunchResult R;
+sim::LaunchResult NativeMachine::launch(const NativeKernel &NK,
+                                       const LaunchConfig &Config,
+                                       const std::vector<ArgValue> &Args) {
+  sim::LaunchResult R;
   R.GridDim = Config.GridDim;
   R.BlockDim = Config.BlockDim;
+  R.BlocksSimulated = Config.GridDim;
   const CompiledKernel &K = *NK.Code;
 
-  if (Config.GridDim == 0 || Config.BlockDim == 0) {
-    R.Errors.push_back("empty launch configuration");
+  sim::LaunchPlan Plan = sim::planLaunch(K, Config, Args, Pool);
+  if (!Plan.Error.empty()) {
+    R.Errors.push_back(Plan.Error);
     return R;
   }
   if (Config.BlockDim > WarpLanes * 32) {
     R.Errors.push_back(strformat("block size %u exceeds the native "
                                  "backend's limit %u",
                                  Config.BlockDim, WarpLanes * 32));
-    return R;
-  }
-  if (Args.size() != K.Source->getParams().size()) {
-    R.Errors.push_back("argument count does not match kernel params");
     return R;
   }
   // Every global access must agree with the bound buffer's element plane:
@@ -1429,19 +1342,6 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
     }
   }
 
-  // Same watchdog budget derivation as the interpreter.
-  uint64_t Budget = Config.MaxWarpInstructions;
-  if (Budget == 0) {
-    uint64_t MaxScalar = 0;
-    for (const ArgValue &A : Args)
-      if (!A.IsBuffer)
-        MaxScalar = std::max(
-            MaxScalar, static_cast<uint64_t>(std::max(0ll, A.Scalar.I)));
-    uint64_t NumWarps = (Config.BlockDim + WarpLanes - 1) / WarpLanes;
-    Budget = (1ull << 20) + 4096ull * (K.Code.size() + 16) * NumWarps +
-             64ull * MaxScalar;
-  }
-
   // Pair kernels store (value, index) pairs, so each buffer they write
   // gets an index lane first; reads of a buffer without one see index 0.
   if (NK.PairMode)
@@ -1453,8 +1353,8 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
         Dev.get(A.Id).addIndexLane();
     }
 
-  // Views straight over the device buffers: blocks read and write device
-  // memory in place. A virtual buffer builds its typed plane on first use.
+  // Views straight over the device buffers: blocks read device memory in
+  // place. A virtual buffer builds its typed plane on first use.
   std::vector<View> Views(Args.size());
   for (size_t I = 0; I != Args.size(); ++I) {
     if (!Args[I].IsBuffer)
@@ -1472,56 +1372,18 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
     V.Idx = NK.PairMode ? B.indexData() : nullptr;
   }
 
-  double T0 = nowSeconds();
-  const bool Sequential = !Pool || Pool->getThreadCount() <= 1 ||
-                          Config.GridDim <= 1 ||
-                          sim::kernelLoadsWrittenBuffer(K, Args);
-  if (Sequential) {
-    // Blocks run in index order with writes applied in place — the same
-    // observable order as the interpreter's sequential loop. One executor
-    // serves the whole grid so the plane vectors allocate once.
-    NativeBlockExec Exec(NK, Config, Args, Views, /*BlockIdx=*/0,
-                         R.Errors, /*Log=*/nullptr, Budget);
-    for (unsigned B = 0; B != Config.GridDim; ++B) {
-      Exec.runBlock(B);
-      R.DeadlineExceeded |= Exec.hitDeadline();
-    }
-    R.WarpInstructions += Exec.WarpInstructions;
-    R.LaneInstructions += Exec.LaneInstructions;
-  } else {
-    // Parallel blocks against the pristine buffers: each defers its global
-    // writes into a program-ordered log; replay in block-index order keeps
-    // results bit-identical across thread counts.
-    struct BlockOutcome {
-      std::vector<std::string> Errors;
-      std::vector<Effect> Effects;
-      uint64_t WarpInstructions = 0;
-      uint64_t LaneInstructions = 0;
-      bool DeadlineExceeded = false;
-    };
-    std::vector<BlockOutcome> Outcomes(Config.GridDim);
-    Pool->parallelFor(Config.GridDim, [&](size_t B) {
-      BlockOutcome &O = Outcomes[B];
-      NativeBlockExec Exec(NK, Config, Args, Views,
-                           static_cast<unsigned>(B), O.Errors, &O.Effects,
-                           Budget);
-      Exec.run();
-      O.DeadlineExceeded = Exec.hitDeadline();
-      O.WarpInstructions = Exec.WarpInstructions;
-      O.LaneInstructions = Exec.LaneInstructions;
-    });
-    for (BlockOutcome &O : Outcomes) {
-      R.DeadlineExceeded |= O.DeadlineExceeded;
-      for (const Effect &E : O.Effects)
-        applyEffect(Views, E);
-      for (std::string &Msg : O.Errors)
-        if (R.Errors.size() < 8)
-          R.Errors.push_back(std::move(Msg));
-      R.WarpInstructions += O.WarpInstructions;
-      R.LaneInstructions += O.LaneInstructions;
-    }
-  }
-
-  R.ExecSeconds = nowSeconds() - T0;
+  // Blocks that run in order share one executor, so the plane vectors
+  // allocate once; parallel blocks each need their own.
+  NativeBlockExec InOrder(NK, Config, Args, Views, Dev, Plan.Budget);
+  sim::runGrid(
+      Dev, Pool, Plan.Parallel, Config.GridDim,
+      [&](size_t B, sim::BlockOutcome &O, std::vector<sim::GlobalWrite> *Log) {
+        if (Log)
+          NativeBlockExec(NK, Config, Args, Views, Dev, Plan.Budget)
+              .runBlock(static_cast<unsigned>(B), O, Log);
+        else
+          InOrder.runBlock(static_cast<unsigned>(B), O, nullptr);
+      },
+      R);
   return R;
 }

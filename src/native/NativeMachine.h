@@ -16,11 +16,15 @@
 ///    the same epoch structure the interpreter uses, so no OS-level thread
 ///    team (and no nondeterministic interleaving) is needed;
 ///  - shared memory is a per-block stack-local typed buffer;
-///  - blocks fan out over the engine's ThreadPool with global stores and
-///    atomics deferred into program-ordered per-block effect logs that are
-///    replayed in block-index order — results are bit-identical across
-///    thread counts, exactly like the interpreter's parallel mode (kernels
-///    that load a buffer they also write run sequentially, same gate).
+///  - a launch takes the interpreter's path: sim::planLaunch checks it,
+///    sizes the watchdog and picks in-order or parallel blocks, and
+///    sim::runGrid runs the blocks and merges them in block order. Global
+///    stores and atomics are sim::GlobalWrite entries committed through
+///    sim::Buffer::commit, in place or from per-block logs in block-index
+///    order, so results are bit-identical across thread counts and to the
+///    interpreter by construction;
+///  - the result is a sim::LaunchResult: warp and lane instruction counts
+///    in Stats, host wall-clock in HostSeconds, no modeled cycles.
 ///
 /// Device memory is the simulator's Device, whose buffers are already
 /// typed arrays: the machine binds its views straight to them, so blocks
@@ -36,8 +40,6 @@
 #include "gpusim/SimtMachine.h"
 #include "native/NativeKernel.h"
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace tangram::support {
@@ -45,23 +47,6 @@ class ThreadPool;
 } // namespace tangram::support
 
 namespace tangram::native {
-
-/// Result of one native launch.
-struct NativeLaunchResult {
-  std::vector<std::string> Errors;
-  /// Instruction counts over the whole grid (the native analogue of the
-  /// interpreter's ExecStats; used for MLIPS reporting).
-  uint64_t WarpInstructions = 0;
-  uint64_t LaneInstructions = 0;
-  /// A block exhausted its warp-instruction watchdog budget.
-  bool DeadlineExceeded = false;
-  /// Wall-clock seconds spent executing blocks and replaying effects.
-  double ExecSeconds = 0;
-  unsigned GridDim = 0;
-  unsigned BlockDim = 0;
-
-  bool ok() const { return Errors.empty(); }
-};
 
 /// Runs NativeKernels against a simulator Device. One machine per engine.
 class NativeMachine {
@@ -72,9 +57,9 @@ public:
   /// Executes \p NK over the grid, like SimtMachine::launch. \p Args must
   /// match the kernel's parameter list. On return, every buffer the kernel
   /// wrote holds the results.
-  NativeLaunchResult launch(const NativeKernel &NK,
-                            const sim::LaunchConfig &Config,
-                            const std::vector<sim::ArgValue> &Args);
+  sim::LaunchResult launch(const NativeKernel &NK,
+                           const sim::LaunchConfig &Config,
+                           const std::vector<sim::ArgValue> &Args);
 
 private:
   sim::Device &Dev;

@@ -7,7 +7,6 @@
 #include "serve/Batch.h"
 
 #include "engine/ExecutionEngine.h"
-#include "gpusim/PerfModel.h"
 #include "ir/Bytecode.h"
 #include "support/ReduceOp.h"
 
@@ -102,11 +101,7 @@ serve::runBatch(engine::ExecutionEngine &E,
                     "batched job exceeds one block tile");
 
   sim::Device &Dev = E.getDevice();
-  struct Scope {
-    sim::Device &D;
-    size_t M;
-    ~Scope() { D.release(M); }
-  } Scratch{Dev, Dev.mark()};
+  sim::Device::Scope Scratch(Dev);
 
   // The arena: job j owns cells [j*Tile, (j+1)*Tile), padded with the
   // kernel identity — the constant guarded loads substitute when the same
@@ -122,57 +117,27 @@ serve::runBatch(engine::ExecutionEngine &E,
       AB.write(Base + I, KId);
   }
 
-  // Identity-seed cell 0 like the engine does for its partials buffer; the
-  // kernel overwrites every cell it owns.
-  const reduce::IdentityCell Identity = reduce::getIdentity(Op, Elem);
-  const sim::Cell Id{Identity.I, Identity.F, Identity.Idx};
-  sim::BufferId Partials = Dev.alloc(Elem, K);
-  Dev.get(Partials).write(0, Id);
-
   // One stage-1 launch over the whole arena: N = K*Tile with ObjectSize =
-  // Tile makes the grid exactly K blocks, one per job.
-  sim::LaunchConfig Config = engine::makeLaunchConfig(**V, K * Tile);
-  assert(Config.GridDim == K && "arena tiling must map one block per job");
-  std::vector<sim::ArgValue> Args = {
-      sim::ArgValue::buffer(Partials), sim::ArgValue::buffer(Arena),
-      sim::ArgValue::scalar(static_cast<long long>(K * Tile)),
-      sim::ArgValue::scalar(static_cast<long long>(Tile))};
-
-  double BatchSeconds = 0;
-  if (B == engine::Backend::NativeCpu) {
-    if (!(*V)->Native)
-      return Status(StatusCode::InvalidArgument,
-                    "batch variant was not resolved for the native backend");
-    native::NativeLaunchResult NR =
-        E.getNativeMachine().launch(*(*V)->Native, Config, Args);
-    if (!NR.ok() || NR.DeadlineExceeded) {
-      Status Why(NR.DeadlineExceeded ? StatusCode::DeadlineExceeded
-                                     : StatusCode::LaunchError,
-                 NR.Errors.empty() ? "native batch deadline exceeded"
-                                   : NR.Errors.front());
-      E.quarantineVariant(Desc, Why);
-      return Why;
-    }
-    BatchSeconds = NR.ExecSeconds;
-  } else {
-    sim::LaunchResult LR =
-        E.launch((*V)->Compiled, Config, Args, sim::ExecMode::Functional);
-    if (!LR.ok()) {
-      Status Why(LR.DeadlineExceeded ? StatusCode::DeadlineExceeded
-                                     : StatusCode::LaunchError,
-                 LR.Errors.empty() ? "batch launch failed" : LR.Errors.front());
-      E.quarantineVariant(Desc, Why);
-      return Why;
-    }
-    BatchSeconds = sim::modelKernelTime(E.getArch(), LR).TotalSeconds;
+  // Tile makes the grid exactly K blocks, one per job, whose partials the
+  // engine allocates and identity-seeds as for a lone run.
+  engine::ReduceResult Stage;
+  auto Partials = E.runStage(**V, Arena, K * Tile, sim::ExecMode::Functional,
+                             B, Stage);
+  if (!Partials) {
+    E.quarantineVariant(Desc, Partials.status());
+    return Partials.status();
   }
+  assert(Stage.Launch.GridDim == K &&
+         "arena tiling must map one block per job");
 
   // Host epilogue: partial j IS job j's block result; replay the lone
   // run's second stage (a fold of one partial against identity padding)
   // and final accumulator fold with the machine's own cell semantics.
+  const reduce::IdentityCell Identity = reduce::getIdentity(Op, Elem);
+  const sim::Cell Id{Identity.I, Identity.F, Identity.Idx};
   std::vector<JobResult> Results(K);
   for (size_t J = 0; J != K; ++J) {
-    sim::Cell P = Dev.get(Partials).read(J);
+    sim::Cell P = Dev.get(*Partials).read(J);
     if (isArgReduce(Op)) {
       // Arena indexes are job-local ones shifted by the tile base, and a
       // block only ever reads its own tile — padding lanes included, whose
@@ -194,7 +159,7 @@ serve::runBatch(engine::ExecutionEngine &E,
     R.FloatValue = Fin.F;
     R.IntValue = Fin.I;
     R.IndexValue = Fin.Idx;
-    R.Seconds = BatchSeconds / static_cast<double>(K);
+    R.Seconds = Stage.Seconds / static_cast<double>(K);
     R.Used = B;
     R.Coalesced = true;
     R.BatchJobs = static_cast<unsigned>(K);

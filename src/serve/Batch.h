@@ -9,7 +9,10 @@
 /// one (op, dtype) lane are packed into a single segmented launch of a
 /// two-kernel variant's *first* stage. Each job owns exactly one block
 /// tile (ObjectSize elements), padded with the kernel identity, so block j
-/// computes job j's partial; a host-side epilogue replicates the second
+/// computes job j's partial. The arena launches through the engine's own
+/// first stage (ExecutionEngine::runStage), so the partials buffer, its
+/// identity seed, the arguments and the backend choice are those of a
+/// lone run; a host-side epilogue replicates the second
 /// stage's identity fold. The result of each job is bit-identical to
 /// running it alone through ExecutionEngine::run with the same descriptor:
 ///
@@ -23,8 +26,8 @@
 ///    where the guard constant wins, and is mapped to its index lane.
 ///  - The per-job second stage reduces a single partial against identity
 ///    padding — an identity fold — which the epilogue replays with the
-///    simulator's own atomicApply semantics (value computed in double,
-///    F32 results rounded per step, integer lane mirrored).
+///    machines' own atomic semantics (value computed in double, F32
+///    results rounded per step, integer lane mirrored).
 ///
 /// Sub is excluded by the shard (its second stage subtracts partials, so
 /// coalescing would change the sign structure).
@@ -50,18 +53,19 @@ namespace tangram::serve {
 void writeJob(sim::Device &Dev, sim::BufferId Buf, size_t Offset,
               const JobSpec &Spec);
 
-/// Host replica of the simulator's atomicApply: folds \p V into \p Acc
-/// under (op, element type) with identical rounding, wrapping, index
-/// tie-break, and cross-lane mirroring semantics.
+/// Host replica of the machines' atomic fold (sim::Buffer::commit): folds
+/// \p V into \p Acc under (op, element type) with identical rounding,
+/// wrapping, index tie-break, and cross-lane mirroring semantics.
 void foldCell(ReduceOp Op, ir::ScalarType Ty, sim::Cell &Acc,
               const sim::Cell &V);
 
 /// Runs \p Jobs (all of one (op, dtype) lane, each with size() <= the
 /// descriptor's block tile) as ONE segmented stage-1 launch of \p Desc on
-/// \p E, plus the host epilogue. Results are in job order; Seconds is the
-/// batch's modeled (or native wall-clock) time split evenly across jobs.
-/// A non-Ok Status means the batch could not run — launch failures
-/// quarantine \p Desc on \p E so the caller's per-job failover takes over.
+/// \p E (ExecutionEngine::runStage), plus the host epilogue. Results are
+/// in job order; Seconds is the batch's modeled (or native wall-clock)
+/// time split evenly across jobs. A non-Ok Status means the batch could
+/// not run — synthesis and launch failures quarantine \p Desc on \p E so
+/// the caller's per-job failover takes over.
 support::Expected<std::vector<JobResult>>
 runBatch(engine::ExecutionEngine &E, const synth::VariantDescriptor &Desc,
          engine::Backend B, const std::vector<const JobSpec *> &Jobs);

@@ -32,6 +32,8 @@ FigureRow FigureHarness::measure(const sim::ArchDesc &Arch, size_t N) {
     Row.TangramSeconds = Best->BestSeconds;
     Row.BestLabel = Best->Fig6Label;
     Row.BestName = Best->Best.getName();
+    Row.BestBlockSize = Best->Best.BlockSize;
+    Row.BestCoarsen = Best->Best.Coarsen;
     Row.QuarantinedConfigs = static_cast<unsigned>(Best->Quarantined.size());
   } else {
     // No surviving configuration: the row still measures every baseline and

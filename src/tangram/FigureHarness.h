@@ -32,6 +32,9 @@ struct FigureRow {
   /// Fig. 6 label of the winning Tangram version at this size.
   std::string BestLabel;
   std::string BestName;
+  /// The winner's tuned block size and coarsening factor.
+  unsigned BestBlockSize = 0;
+  unsigned BestCoarsen = 0;
   /// Health of the Tangram sweep behind this row: "ok" when a tuned winner
   /// survived, else the failure class of the hardened tuner (for example
   /// "deadline-exceeded" or "wrong-result"). Baseline columns are always

@@ -71,7 +71,6 @@ tangram::transforms::analyzeGlobalAtomicMap(CodeletDecl *C) {
     return std::nullopt;
 
   GlobalAtomicInfo Info;
-  Info.AtomicAPI = F.AtomicAPI;
   Info.MapVar = F.MapVar;
   Info.Op = F.AtomicOp;
   const reduce::OpDef &D = reduce::getOpDef(Info.Op);
@@ -83,41 +82,4 @@ tangram::transforms::analyzeGlobalAtomicMap(CodeletDecl *C) {
     Info.SameComputation = F.SameComputation;
   }
   return Info;
-}
-
-bool tangram::transforms::applyGlobalAtomicVariant(
-    CodeletDecl *C, const GlobalAtomicInfo &Info, bool EnableAtomic) {
-  if (EnableAtomic) {
-    // The atomic API accumulates the partial results; the spectrum call
-    // that would have done the same work is disabled (only when it applies
-    // the same computation — Section III-A — and the op tolerates the
-    // nondeterministic update order atomics impose).
-    if (!Info.SpectrumCall || !Info.SameComputation || !Info.ReorderSafe)
-      return false;
-    Info.SpectrumCall->setDisabled(true);
-    return true;
-  }
-
-  // Non-atomic variant: drop the `map.atomicX()` statement from whichever
-  // compound block holds it.
-  struct Remover : ASTVisitor<Remover> {
-    explicit Remover(const MemberCallExpr *Target) : Target(Target) {}
-    bool visitCompoundStmt(CompoundStmt *CS) {
-      auto &Body = CS->getBody();
-      for (auto It = Body.begin(); It != Body.end(); ++It) {
-        const auto *E = dyn_cast<Expr>(*It);
-        if (E && E->ignoreParens() == Target) {
-          Body.erase(It);
-          Removed = true;
-          return true;
-        }
-      }
-      return true;
-    }
-    const MemberCallExpr *Target;
-    bool Removed = false;
-  };
-  Remover R(Info.AtomicAPI);
-  R.traverseCodelet(C);
-  return R.Removed;
 }

@@ -8,18 +8,17 @@
 /// The global-memory atomic pass of Section III-A. A compound codelet may
 /// carry both a Map atomic API call (`map.atomicAdd()`, Fig. 1b line 10)
 /// and a non-atomic spectrum call (`return sum(map)`, line 11); the two are
-/// mutually exclusive accumulation strategies. The pre-processing pass
-/// locates Map primitives with an atomic API and, when the Map feeds a
-/// spectrum call that applies the same computation, disables one of the
-/// two depending on which code variant is being generated:
+/// mutually exclusive accumulation strategies. The analysis locates Map
+/// primitives with an atomic API and whether the Map feeds a spectrum call
+/// that applies the same computation. The AST itself is never rewritten:
+/// the synthesizer lowers every code variant from the checked AST and
+/// picks the strategy per descriptor:
 ///
-///  - atomic variant: the spectrum call is disabled, and Map partial
-///    results are accumulated with `atomicAdd_block` (block level) /
-///    `atomicAdd` (grid level) into a single-element accumulator
-///    (Listing 2);
-///  - non-atomic variant: the atomic API statement is removed, and partial
-///    results go to an array consumed by a second spectrum call
-///    (Listing 1).
+///  - atomic variant: Map partial results are accumulated with
+///    `atomicAdd_block` (block level) / `atomicAdd` (grid level) into a
+///    single-element accumulator (Listing 2);
+///  - non-atomic variant: partial results go to an array consumed by a
+///    second spectrum call (Listing 1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +34,6 @@ namespace tangram::transforms {
 /// Analysis result: the atomic-accumulation opportunity of one compound
 /// codelet.
 struct GlobalAtomicInfo {
-  /// The `map.atomicX()` API call.
-  lang::MemberCallExpr *AtomicAPI = nullptr;
   /// The Map variable the API was invoked on.
   const lang::VarDecl *MapVar = nullptr;
   /// The spectrum call consuming the Map (null if none).
@@ -44,7 +41,7 @@ struct GlobalAtomicInfo {
   /// The atomic operator requested by the API.
   ReduceOp Op = ReduceOp::Add;
   /// Whether the spectrum call applies the same computation as the atomic
-  /// API (the pass only disables it in that case).
+  /// API (only then is the atomic variant a drop-in replacement for it).
   bool SameComputation = false;
   /// Whether the op tolerates arbitrary inter-block accumulation order
   /// (reduce::OpDef Commutative && Associative). Atomics serialize updates
@@ -56,14 +53,6 @@ struct GlobalAtomicInfo {
 /// Scans \p C for a Map atomic API. Returns nullopt when the codelet has
 /// no atomic API call.
 std::optional<GlobalAtomicInfo> analyzeGlobalAtomicMap(lang::CodeletDecl *C);
-
-/// Mutates \p C (typically a per-variant clone) for one of the two
-/// variants: \p EnableAtomic disables the subsumed spectrum call; otherwise
-/// the atomic API statement is removed from the body. Returns true if a
-/// change was made.
-bool applyGlobalAtomicVariant(lang::CodeletDecl *C,
-                              const GlobalAtomicInfo &Info,
-                              bool EnableAtomic);
 
 } // namespace tangram::transforms
 

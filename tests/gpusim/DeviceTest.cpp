@@ -262,7 +262,7 @@ TEST(Device, VirtualBufferStaysReadOnlyAfterNativeLaunchBuildsItsPlane) {
   BufferId InBuf = Dev.allocVirtual(ScalarType::F32, Size, P);
   BufferId OutBuf = Dev.alloc(ScalarType::F32, 1);
   native::NativeMachine Native(Dev);
-  native::NativeLaunchResult R = Native.launch(
+  LaunchResult R = Native.launch(
       *NativeSum, {(Size + 255) / 256, 256, 0},
       {ArgValue::buffer(OutBuf), ArgValue::buffer(InBuf),
        ArgValue::scalar(Size)});

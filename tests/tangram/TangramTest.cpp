@@ -7,14 +7,23 @@
 // End-to-end tests of the public facade plus the paper's qualitative
 // claims as executable assertions: per-architecture winning variant
 // families, the small-N Tangram advantage over CUB, the large-N CUB
-// advantage, and the Kokkos crossover (Sections IV-C1..4).
+// advantage, and the Kokkos crossover (Sections IV-C1..4). Every row
+// those claims compute is also compared exactly against
+// golden_figures.txt, so a change that moves a modeled figure by one ULP
+// fails here even when the claim itself still holds.
 //
 //===----------------------------------------------------------------------===//
 
 #include "tangram/FigureHarness.h"
 #include "tangram/Tangram.h"
 
+#include "support/StringUtils.h"
+
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <map>
+#include <sstream>
 
 using namespace tangram;
 using namespace tangram::synth;
@@ -73,6 +82,72 @@ TEST(Tangram, InfeasibleSharedFootprintPricedOut) {
 // The paper's qualitative claims (Sections IV-C1..4)
 //===----------------------------------------------------------------------===//
 
+/// golden_figures.txt, one row per line: a key ("best <arch> <N>" for a
+/// findBest winner, "figure <arch> <N>" for a FigureHarness row) and the
+/// row's fields. Lines starting with '#' are comments.
+const std::map<std::string, std::string> &goldenFigures() {
+  static const std::map<std::string, std::string> Rows = [] {
+    std::map<std::string, std::string> M;
+    std::ifstream In(TGR_GOLDEN_FIGURES_PATH);
+    EXPECT_TRUE(In.good()) << "cannot read " << TGR_GOLDEN_FIGURES_PATH;
+    std::string Line;
+    while (std::getline(In, Line)) {
+      if (Line.empty() || Line[0] == '#')
+        continue;
+      std::istringstream S(Line);
+      std::string Kind, Arch, N, Fields;
+      if (S >> Kind >> Arch >> N && std::getline(S >> std::ws, Fields))
+        M[Kind + " " + Arch + " " + N] = Fields;
+    }
+    return M;
+  }();
+  return Rows;
+}
+
+/// Compares one computed row with its golden record, bit for bit (every
+/// time is printed %.17g). The failure message carries the computed line.
+void expectGolden(const std::string &Key, const std::string &Row) {
+  auto It = goldenFigures().find(Key);
+  if (It == goldenFigures().end()) {
+    ADD_FAILURE() << "no golden row; computed:\n" << Key << " " << Row;
+    return;
+  }
+  EXPECT_EQ(It->second, Row) << "computed:\n" << Key << " " << Row;
+}
+
+std::string goldenKey(const char *Kind, const sim::ArchDesc &Arch, size_t N) {
+  return strformat("%s %s %zu", Kind, sim::getArchGenerationName(Arch.Gen),
+                   N);
+}
+
+std::string labelOrDash(const std::string &Label) {
+  return Label.empty() ? "-" : Label;
+}
+
+/// A findBest winner: label, descriptor name, block size, coarsening and
+/// modeled seconds.
+void expectGoldenBest(const sim::ArchDesc &Arch, size_t N,
+                      const TangramReduction::BestResult &Best) {
+  expectGolden(goldenKey("best", Arch, N),
+               strformat("%s %s %u %u %.17g",
+                         labelOrDash(Best.Fig6Label).c_str(),
+                         Best.Desc.getName().c_str(), Best.Desc.BlockSize,
+                         Best.Desc.Coarsen, Best.Seconds));
+}
+
+/// A figure row: the winner as above, then the modeled Tangram, CUB,
+/// Kokkos and OpenMP seconds.
+FigureRow measureGolden(FigureHarness &H, const sim::ArchDesc &Arch,
+                        size_t N) {
+  FigureRow R = H.measure(Arch, N);
+  expectGolden(goldenKey("figure", Arch, N),
+               strformat("%s %s %u %u %.17g %.17g %.17g %.17g",
+                         labelOrDash(R.BestLabel).c_str(), R.BestName.c_str(),
+                         R.BestBlockSize, R.BestCoarsen, R.TangramSeconds,
+                         R.CubSeconds, R.KokkosSeconds, R.OmpSeconds));
+  return R;
+}
+
 struct ArchCase {
   const sim::ArchDesc *Arch;
   /// Expected winner labels for small inputs (1K).
@@ -86,6 +161,7 @@ TEST_P(PerArchClaims, SmallArrayWinnersUseTheNewInstructions) {
   const sim::ArchDesc *Archs = sim::getAllArchs(Count);
   const sim::ArchDesc &Arch = Archs[GetParam()];
   TangramReduction::BestResult Best = facade().findBest(Arch, 1024);
+  expectGoldenBest(Arch, 1024, Best);
   // Small arrays: direct cooperative codelets with shared atomics and/or
   // shuffles win everywhere (versions n/p family).
   EXPECT_FALSE(Best.Desc.BlockDistributes) << Arch.Name;
@@ -107,6 +183,7 @@ TEST_P(PerArchClaims, LargeArraysPreferCoarsenedStridedVersions) {
   const sim::ArchDesc *Archs = sim::getAllArchs(Count);
   const sim::ArchDesc &Arch = Archs[GetParam()];
   TangramReduction::BestResult Best = facade().findBest(Arch, 1 << 26);
+  expectGoldenBest(Arch, 1 << 26, Best);
   // Large arrays: two-level distribution with strided (coalesced) thread
   // access and coarsening ("distribute the input array twice").
   EXPECT_TRUE(Best.Desc.BlockDistributes) << Arch.Name;
@@ -128,7 +205,7 @@ TEST(FigureShape, SmallArraysBeatCubEverywhere) {
   unsigned Count = 0;
   const sim::ArchDesc *Archs = sim::getAllArchs(Count);
   for (unsigned A = 0; A != Count; ++A) {
-    FigureRow R = H.measure(Archs[A], 4096);
+    FigureRow R = measureGolden(H, Archs[A], 4096);
     EXPECT_GT(R.tangramSpeedup(), 2.0) << Archs[A].Name;
     EXPECT_LT(R.tangramSpeedup(), 12.0) << Archs[A].Name;
   }
@@ -140,7 +217,7 @@ TEST(FigureShape, LargeArraysLoseToCub) {
   unsigned Count = 0;
   const sim::ArchDesc *Archs = sim::getAllArchs(Count);
   for (unsigned A = 0; A != Count; ++A) {
-    FigureRow R = H.measure(Archs[A], 1u << 28);
+    FigureRow R = measureGolden(H, Archs[A], 1u << 28);
     EXPECT_LT(R.tangramSpeedup(), 1.0) << Archs[A].Name;
     EXPECT_GT(R.tangramSpeedup(), 0.55) << Archs[A].Name;
   }
@@ -149,8 +226,8 @@ TEST(FigureShape, LargeArraysLoseToCub) {
 TEST(FigureShape, KokkosCrossesOverAtLargeSizes) {
   FigureHarness H(facade());
   const sim::ArchDesc &Arch = sim::getKeplerK40c();
-  FigureRow Small = H.measure(Arch, 4096);
-  FigureRow Huge = H.measure(Arch, 1u << 28);
+  FigureRow Small = measureGolden(H, Arch, 4096);
+  FigureRow Huge = measureGolden(H, Arch, 1u << 28);
   EXPECT_LT(Small.kokkosSpeedup(), 1.0);
   EXPECT_GT(Huge.kokkosSpeedup(), 2.0);
 }
@@ -158,8 +235,8 @@ TEST(FigureShape, KokkosCrossesOverAtLargeSizes) {
 TEST(FigureShape, OpenMpWinsSmallLosesLarge) {
   FigureHarness H(facade());
   const sim::ArchDesc &Arch = sim::getMaxwellGTX980();
-  FigureRow Small = H.measure(Arch, 256);
-  FigureRow Large = H.measure(Arch, 1u << 24);
+  FigureRow Small = measureGolden(H, Arch, 256);
+  FigureRow Large = measureGolden(H, Arch, 1u << 24);
   EXPECT_GT(Small.ompSpeedup(), 3.0);
   EXPECT_LT(Large.ompSpeedup(), 0.6);
 }
@@ -167,7 +244,7 @@ TEST(FigureShape, OpenMpWinsSmallLosesLarge) {
 TEST(FigureShape, PascalPeakSpeedupNearPaperHeadline) {
   // "up to 7.8x" — the peak lives in Pascal's small/medium region.
   FigureHarness H(facade());
-  FigureRow R = H.measure(sim::getPascalP100(), 16384);
+  FigureRow R = measureGolden(H, sim::getPascalP100(), 16384);
   EXPECT_GT(R.tangramSpeedup(), 6.0);
   EXPECT_LT(R.tangramSpeedup(), 11.0);
 }

@@ -13,8 +13,6 @@
 
 #include "transforms/Pipeline.h"
 
-#include "lang/ASTCloner.h"
-#include "lang/ASTPrinter.h"
 #include "lang/Parser.h"
 #include "sema/Sema.h"
 #include "support/Diagnostics.h"
@@ -75,32 +73,9 @@ TEST(GlobalAtomicMapPass, NoAtomicApiMeansNoInfo) {
       analyzeGlobalAtomicMap(F.TU.findByTag("coop_tree")).has_value());
 }
 
-TEST(GlobalAtomicMapPass, AtomicVariantDisablesSpectrumCall) {
-  Fixture &F = canonical();
-  ASTCloner Cloner(*F.Ctx);
-  CodeletDecl *Clone = Cloner.clone(F.TU.findByTag("dist_tile"));
-  auto Info = analyzeGlobalAtomicMap(Clone);
-  ASSERT_TRUE(Info.has_value());
-  EXPECT_TRUE(applyGlobalAtomicVariant(Clone, *Info, /*EnableAtomic=*/true));
-  EXPECT_TRUE(Info->SpectrumCall->isDisabled());
-  EXPECT_NE(printCodelet(Clone).find("/*disabled*/sum(map)"),
-            std::string::npos);
-}
-
-TEST(GlobalAtomicMapPass, NonAtomicVariantRemovesApiStatement) {
-  Fixture &F = canonical();
-  ASTCloner Cloner(*F.Ctx);
-  CodeletDecl *Clone = Cloner.clone(F.TU.findByTag("dist_tile"));
-  auto Info = analyzeGlobalAtomicMap(Clone);
-  ASSERT_TRUE(Info.has_value());
-  EXPECT_TRUE(
-      applyGlobalAtomicVariant(Clone, *Info, /*EnableAtomic=*/false));
-  EXPECT_EQ(printCodelet(Clone).find("atomicAdd"), std::string::npos);
-}
-
 TEST(GlobalAtomicMapPass, DifferentComputationKeepsSpectrumCall) {
   // The spectrum call applies a different spectrum than the atomic API's
-  // computation: the pass must not disable it.
+  // computation: the analysis must not report them as the same.
   Fixture F("__codelet int other(const Array<1,int> in) { return 0; }\n"
             "__codelet int sum(const Array<1,int> in) {\n"
             "  __tunable unsigned p;\n"
@@ -113,7 +88,6 @@ TEST(GlobalAtomicMapPass, DifferentComputationKeepsSpectrumCall) {
   auto Info = analyzeGlobalAtomicMap(C);
   ASSERT_TRUE(Info.has_value());
   EXPECT_FALSE(Info->SameComputation);
-  EXPECT_FALSE(applyGlobalAtomicVariant(C, *Info, /*EnableAtomic=*/true));
 }
 
 TEST(GlobalAtomicMapPass, AllFourOperatorsSupported) {
