@@ -6,12 +6,14 @@
 //
 // Compiles the reduction spectrum, shows the search space, synthesizes the
 // paper's version (p), runs it on the simulated Pascal P100, and prints
-// the generated CUDA next to the timing report.
+// the generated CUDA next to the timing report. Exits 1 when the result
+// misses the host sum.
 //
 //===----------------------------------------------------------------------===//
 
 #include "tangram/Tangram.h"
 
+#include <cmath>
 #include <cstdio>
 #include <numeric>
 #include <vector>
@@ -74,5 +76,7 @@ int main() {
 
   auto Cuda = TR.emitCudaFor(Desc);
   std::printf("generated CUDA:\n%s\n", Cuda ? Cuda->c_str() : "");
-  return 0;
+  // The float-sum tolerance of ExecutionEngine::validateVariant.
+  const double Tol = std::abs(Expected) * 1e-4 + 1e-6;
+  return std::abs(Out->FloatValue - Expected) <= Tol ? 0 : 1;
 }

@@ -367,9 +367,6 @@ Status ExecutionEngine::admit(const ReduceRequest &Req) const {
     return Status(StatusCode::InvalidArgument,
                   "request routed to the wrong engine shard: architecture "
                   "generation mismatch");
-  if (Req.DeadlineSeconds > 0 && steadySeconds() > Req.DeadlineSeconds)
-    return Status(StatusCode::DeadlineExceeded,
-                  "admission deadline expired before launch");
   return Status::success();
 }
 
@@ -765,10 +762,6 @@ ExecutionEngine::faultCheck(const synth::VariantDescriptor &Desc, size_t N,
 
 void ExecutionEngine::setFaultPlan(const sim::FaultPlan &Plan) {
   Machine.setFaultPlan(Plan);
-}
-
-const sim::FaultPlan &ExecutionEngine::getFaultPlan() const {
-  return Machine.getFaultPlan();
 }
 
 const QuarantineRecord *

@@ -53,8 +53,8 @@ namespace tangram::engine {
 sim::LaunchConfig makeLaunchConfig(const synth::SynthesizedVariant &V,
                                    size_t N);
 
-/// The last resort of every failover chain, for when no backend can run a
-/// descriptor: a plain host loop folding elements [0, N) of \p In in index
+/// The last resort of serving's failover chain, for when no backend can run
+/// a descriptor: a plain host loop folding elements [0, N) of \p In in index
 /// order under (\p Op, \p Elem). The non-authoritative value lane mirrors
 /// the other, as in a kernel's result. Used is Backend::NativeCpu (the CPU
 /// tier) and Seconds the loop's host wall-clock. A Status only for an
@@ -288,7 +288,6 @@ public:
   /// under injected faults is how the quarantine/fallback machinery is
   /// exercised). Inactive by default.
   void setFaultPlan(const sim::FaultPlan &Plan);
-  const sim::FaultPlan &getFaultPlan() const;
 
   /// Quarantine bookkeeping. Configurations are keyed by their full stable
   /// hash (structure + tunables), per engine (= per architecture).
@@ -344,8 +343,8 @@ private:
   faultCheck(const synth::VariantDescriptor &Desc, size_t N,
              const sim::FaultPlan &Plan,
              const synth::OptimizationFlags &Flags);
-  /// Request-level admission checks (routing facts, deadline). Ok when the
-  /// request may proceed on this engine.
+  /// Request-level admission checks (routing facts). Ok when the request
+  /// may proceed on this engine.
   support::Status admit(const ReduceRequest &Req) const;
 
   sim::ArchDesc Arch; ///< By value: the engine outlives any accessor.

@@ -7,9 +7,9 @@
 /// \file
 /// The value types of the request-shaped engine API. A ReduceRequest is a
 /// self-describing unit of work — input buffer, size, op/dtype/arch routing
-/// facts, backend, execution mode, admission deadline — that can be queued,
-/// batched, and shipped between threads, which is exactly what the serving
-/// layer (src/serve) does with it. DiagnoseRequest plays the same role for
+/// facts, backend, execution mode — that can be queued, batched, and
+/// shipped between threads, which is exactly what the serving layer
+/// (src/serve) does with it. DiagnoseRequest plays the same role for
 /// the diagnostic entry points (race check, fault campaign, functional
 /// validation), collapsing three parallel facade methods into one.
 ///
@@ -55,10 +55,6 @@ struct ReduceRequest {
   std::optional<ReduceOp> Op;
   std::optional<ir::ScalarType> Elem;
   std::optional<sim::ArchGeneration> Gen;
-  /// Admission deadline in steadySeconds() time (0 = none). A request whose
-  /// deadline has already passed when the engine picks it up is refused
-  /// with StatusCode::DeadlineExceeded without launching anything.
-  double DeadlineSeconds = 0;
 };
 
 /// Response to one successful ReduceRequest (failures travel as the Status
@@ -81,8 +77,6 @@ struct ReduceResult {
   /// Backend that actually produced the value (failover may differ from
   /// the request's).
   Backend Used = Backend::Simulator;
-  /// The result rode a coalesced multi-job launch (serving layer only).
-  bool Coalesced = false;
 };
 
 /// Which diagnostic campaign a DiagnoseRequest runs.
@@ -175,7 +169,7 @@ struct DiagnoseReport {
 };
 
 /// Monotonic wall-clock in seconds — the time base of
-/// ReduceRequest::DeadlineSeconds and of the serving layer's latency
+/// serve::JobSpec::DeadlineSeconds and of the serving layer's latency
 /// accounting.
 double steadySeconds();
 

@@ -61,6 +61,37 @@ struct Cell {
   long long Idx = 0;
 };
 
+/// Folds \p V into \p Acc under (Op, Ty), the interpreter's atomic on a
+/// shared-memory cell. The element type picks the authoritative value
+/// lane: floats fold in double with an F32 result rounded to float, and
+/// integers wrap to the type. Pair ops fold (value, index) with the
+/// smaller-index tie-break. The other numeric lane mirrors the result, so
+/// readers of either lane agree. The serving batch epilogue replays a lone
+/// run's second stage with it.
+inline void foldCell(ReduceOp Op, ir::ScalarType Ty, Cell &Acc,
+                     const Cell &V) {
+  if (isArgReduce(Op)) {
+    if (ir::isFloatType(Ty)) {
+      applyReduceOpPair(Op, Acc.F, Acc.Idx, V.F, V.Idx);
+      Acc.I = ir::saturatingIntOf(Acc.F);
+    } else {
+      applyReduceOpPair(Op, Acc.I, Acc.Idx, V.I, V.Idx);
+      Acc.F = static_cast<double>(Acc.I);
+    }
+    return;
+  }
+  if (ir::isFloatType(Ty)) {
+    double R = applyReduceOp<double>(Op, Acc.F, V.F);
+    if (Ty != ir::ScalarType::F64)
+      R = static_cast<float>(R);
+    Acc.F = R;
+    Acc.I = ir::saturatingIntOf(R);
+  } else {
+    Acc.I = ir::wrapToType(Ty, applyReduceOp<long long>(Op, Acc.I, V.I));
+    Acc.F = static_cast<double>(Acc.I);
+  }
+}
+
 using BufferId = unsigned;
 
 /// A typed storage plane: a buffer's element array, and the native

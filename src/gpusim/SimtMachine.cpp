@@ -144,24 +144,13 @@ void setF(Cell &C, double V, ScalarType Ty = ScalarType::F32) {
   }
 }
 
-/// Applies a reduce op to a shared-memory cell. Pair ops fold (value,
-/// index) with the smaller-index tie-break; the element type picks the
-/// authoritative value lane. Global atomics go through Buffer::commit.
-void atomicApply(ReduceOp Op, ScalarType Ty, Cell &Target, const Cell &V) {
-  if (isArgReduce(Op)) {
-    if (isFloatType(Ty)) {
-      applyReduceOpPair(Op, Target.F, Target.Idx, V.F, V.Idx);
-      Target.I = mirrorIntOf(Target.F);
-    } else {
-      applyReduceOpPair(Op, Target.I, Target.Idx, V.I, V.Idx);
-      Target.F = static_cast<double>(Target.I);
-    }
-    return;
-  }
-  if (isFloatType(Ty))
-    setF(Target, applyReduceOp<double>(Op, Target.F, V.F), Ty);
-  else
-    setI(Target, wrapInt(Ty, applyReduceOp<long long>(Op, Target.I, V.I)));
+/// Applies a reduce op to a shared-memory cell (sim::foldCell). Global
+/// atomics go through Buffer::commit. Kept out of line: inlined at both
+/// call sites, the fold grows BlockExecutor::resume past the size at
+/// which the compiler inlines resume into the launch loop.
+[[gnu::noinline]] void sharedAtomic(ReduceOp Op, ScalarType Ty, Cell &Target,
+                                    const Cell &V) {
+  foldCell(Op, Ty, Target, V);
 }
 
 struct Frame {
@@ -777,12 +766,12 @@ private:
             Drop = false; // Lost read-modify-write: skip this lane's update.
             continue;
           }
-          atomicApply(Op, In.Ty, Mem[static_cast<size_t>(Idx)],
-                      reg(W, In.Src2, L));
+          sharedAtomic(Op, In.Ty, Mem[static_cast<size_t>(Idx)],
+                       reg(W, In.Src2, L));
           if (Dup) {
             Dup = false; // Replayed read-modify-write: apply a second time.
-            atomicApply(Op, In.Ty, Mem[static_cast<size_t>(Idx)],
-                        reg(W, In.Src2, L));
+            sharedAtomic(Op, In.Ty, Mem[static_cast<size_t>(Idx)],
+                         reg(W, In.Src2, L));
           }
         }
         Stats.SharedAtomicOps += Lanes;

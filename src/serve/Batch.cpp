@@ -38,38 +38,6 @@ void serve::writeJob(sim::Device &Dev, sim::BufferId Buf, size_t Offset,
   }
 }
 
-void serve::foldCell(ReduceOp Op, ir::ScalarType Ty, sim::Cell &Acc,
-                     const sim::Cell &V) {
-  // Mirrors the SIMT machine's atomicApply: the element type picks the
-  // authoritative value lane, pair ops fold (value, index) with the
-  // smaller-index tie-break, and the other numeric lane mirrors the
-  // result so downstream readers of either lane agree.
-  if (isArgReduce(Op)) {
-    if (ir::isFloatType(Ty)) {
-      applyReduceOpPair(Op, Acc.F, Acc.Idx, V.F, V.Idx);
-      Acc.I = ir::saturatingIntOf(Acc.F);
-    } else {
-      applyReduceOpPair(Op, Acc.I, Acc.Idx, V.I, V.Idx);
-      Acc.F = static_cast<double>(Acc.I);
-    }
-    return;
-  }
-  if (ir::isFloatType(Ty)) {
-    double R = applyReduceOp<double>(Op, Acc.F, V.F);
-    if (Ty != ir::ScalarType::F64) {
-      float F32 = static_cast<float>(R);
-      Acc.F = F32;
-      Acc.I = ir::saturatingIntOf(F32);
-    } else {
-      Acc.F = R;
-      Acc.I = ir::saturatingIntOf(R);
-    }
-  } else {
-    Acc.I = ir::wrapToType(Ty, applyReduceOp<long long>(Op, Acc.I, V.I));
-    Acc.F = static_cast<double>(Acc.I);
-  }
-}
-
 Expected<std::vector<JobResult>>
 serve::runBatch(engine::ExecutionEngine &E,
                 const synth::VariantDescriptor &Desc, engine::Backend B,
@@ -151,9 +119,9 @@ serve::runBatch(engine::ExecutionEngine &E,
     }
 
     sim::Cell Acc = KId;
-    foldCell(Op, Elem, Acc, P);
+    sim::foldCell(Op, Elem, Acc, P);
     sim::Cell Fin = Id;
-    foldCell(Op, Elem, Fin, Acc);
+    sim::foldCell(Op, Elem, Fin, Acc);
 
     JobResult &R = Results[J];
     R.FloatValue = Fin.F;

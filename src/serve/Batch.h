@@ -25,9 +25,9 @@
 ///    winner inside the padding corresponds exactly to the lone-run case
 ///    where the guard constant wins, and is mapped to its index lane.
 ///  - The per-job second stage reduces a single partial against identity
-///    padding — an identity fold — which the epilogue replays with the
-///    machines' own atomic semantics (value computed in double, F32
-///    results rounded per step, integer lane mirrored).
+///    padding — an identity fold — which the epilogue replays with
+///    sim::foldCell, the interpreter's own atomic fold (value computed in
+///    double, F32 results rounded per step, integer lane mirrored).
 ///
 /// Sub is excluded by the shard (its second stage subtracts partials, so
 /// coalescing would change the sign structure).
@@ -52,12 +52,6 @@ namespace tangram::serve {
 /// lane matching the element type is authoritative).
 void writeJob(sim::Device &Dev, sim::BufferId Buf, size_t Offset,
               const JobSpec &Spec);
-
-/// Host replica of the machines' atomic fold (sim::Buffer::commit): folds
-/// \p V into \p Acc under (op, element type) with identical rounding,
-/// wrapping, index tie-break, and cross-lane mirroring semantics.
-void foldCell(ReduceOp Op, ir::ScalarType Ty, sim::Cell &Acc,
-              const sim::Cell &V);
 
 /// Runs \p Jobs (all of one (op, dtype) lane, each with size() <= the
 /// descriptor's block tile) as ONE segmented stage-1 launch of \p Desc on

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <thread>
 
 using namespace tangram;
@@ -23,7 +22,7 @@ using support::StatusCode;
 
 ResilientClient::ResilientClient(ReductionService &Svc,
                                  ResilientClientOptions Options)
-    : Svc(Svc), Opts(Options), RngState(Options.JitterSeed) {}
+    : Svc(Svc), Opts(Options) {}
 
 ClientStats ResilientClient::getStats() const {
   std::lock_guard<std::mutex> L(Mu);
@@ -37,52 +36,12 @@ double ResilientClient::nextBackoff(double Prev) {
   // clients, so a rejected burst does not re-arrive as a burst.
   const double Lo = Opts.BaseBackoffSeconds;
   const double Hi = std::max(Lo, Prev * 3);
-  // The shared splitmix64 generator keeps a seeded client replaying the
+  // The shared splitmix64 generator, from a fixed seed, replays the
   // identical jitter stream every run, like the chaos/fault plans.
   const double U =
       static_cast<double>(support::splitmix64Next(RngState) >> 11) *
       (1.0 / 9007199254740992.0); // 2^-53: U in [0, 1).
   return std::min(Opts.MaxBackoffSeconds, Lo + U * (Hi - Lo));
-}
-
-Expected<JobResult> ResilientClient::attempt(const JobSpec &Job) {
-  auto Primary = Svc.submit(Job);
-  if (Opts.HedgeAfterSeconds <= 0)
-    return Primary.get();
-  if (Primary.wait_for(std::chrono::duration<double>(
-          Opts.HedgeAfterSeconds)) == std::future_status::ready)
-    return Primary.get();
-
-  // The original is slow (stalled worker, deep queue) — race a duplicate
-  // against it. Reductions are read-only per job, so the loser's answer
-  // is simply dropped.
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    ++Stats.Hedges;
-  }
-  auto Hedge = Svc.submit(Job);
-  const auto Slice = std::chrono::microseconds(200);
-  std::optional<Expected<JobResult>> FromPrimary, FromHedge;
-  for (;;) {
-    if (!FromPrimary &&
-        Primary.wait_for(Slice) == std::future_status::ready) {
-      FromPrimary = Primary.get();
-      if (*FromPrimary)
-        return std::move(*FromPrimary);
-    }
-    if (!FromHedge && Hedge.wait_for(Slice) == std::future_status::ready) {
-      FromHedge = Hedge.get();
-      if (*FromHedge) {
-        std::lock_guard<std::mutex> L(Mu);
-        ++Stats.HedgeWins;
-        return std::move(*FromHedge);
-      }
-    }
-    // Both resolved and both failed: the original's status is the honest
-    // one (the hedge may have been refused admission on purpose).
-    if (FromPrimary && FromHedge)
-      return std::move(*FromPrimary);
-  }
 }
 
 Expected<JobResult> ResilientClient::run(JobSpec Job) {
@@ -92,7 +51,7 @@ Expected<JobResult> ResilientClient::run(JobSpec Job) {
   }
   double Backoff = Opts.BaseBackoffSeconds;
   for (unsigned Attempt = 1;; ++Attempt) {
-    auto Out = attempt(Job);
+    auto Out = Svc.submit(Job).get();
     if (Out) {
       std::lock_guard<std::mutex> L(Mu);
       ++Stats.Succeeded;

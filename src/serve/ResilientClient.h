@@ -10,8 +10,8 @@
 /// make it refuse spuriously); ResilientClient absorbs those refusals
 /// with bounded retries, exponential backoff with decorrelated jitter,
 /// and hard deadline propagation — it never sleeps a retry past the
-/// job's own DeadlineSeconds. An optional hedge duplicates a slow
-/// submission and takes the first successful answer.
+/// job's own DeadlineSeconds. A retry after Overloaded is the only
+/// resubmission: the client never duplicates a job that was admitted.
 ///
 /// Blocking facade: run() resolves the submit future on the calling
 /// thread, so the service must have running workers (StartWorkers=true);
@@ -41,12 +41,6 @@ struct ResilientClientOptions {
   /// Backoff cap (decorrelated jitter grows fast — the cap keeps tail
   /// retries from sleeping through the whole deadline budget).
   double MaxBackoffSeconds = 0.05;
-  /// Seed of the client's deterministic jitter stream.
-  uint64_t JitterSeed = 1;
-  /// When > 0: if the first submission has not completed after this many
-  /// seconds, submit a duplicate and take the first successful answer.
-  /// 0 disables hedging.
-  double HedgeAfterSeconds = 0;
 };
 
 /// Counters of every decision the client made.
@@ -58,8 +52,6 @@ struct ClientStats {
   uint64_t RetriesExhausted = 0; ///< Gave up: attempts hit MaxAttempts.
   uint64_t DeadlineStops = 0;    ///< Gave up: backoff would cross the
                                  ///< job's deadline.
-  uint64_t Hedges = 0;           ///< Duplicate submissions sent.
-  uint64_t HedgeWins = 0;        ///< Hedge answered before the original.
   double BackoffSecondsTotal = 0; ///< Total time slept between attempts.
 };
 
@@ -80,9 +72,6 @@ public:
   const ResilientClientOptions &getOptions() const { return Opts; }
 
 private:
-  /// One submission (plus its hedge when configured); blocks for the
-  /// answer.
-  support::Expected<JobResult> attempt(const JobSpec &Job);
   /// Next decorrelated-jitter sleep given the previous one.
   double nextBackoff(double Prev);
 
@@ -90,7 +79,7 @@ private:
   ResilientClientOptions Opts;
   mutable std::mutex Mu; ///< Guards Stats and RngState.
   ClientStats Stats;
-  uint64_t RngState;
+  uint64_t RngState = 1; ///< Jitter stream state, from a fixed seed.
 };
 
 } // namespace tangram::serve

@@ -65,12 +65,6 @@ public:
   const sim::ArchDesc &getArch() const { return Arch; }
   ServiceStats getStats() const;
   ShardHealth getHealth() const;
-  /// Warm-start problems recorded at construction (unreadable pack, bad
-  /// entry): the shard came up cold instead of failing. Also carried in
-  /// ShardHealth::Warnings.
-  const std::vector<std::string> &getStartupWarnings() const {
-    return StartupWarnings;
-  }
 
   /// Lane introspection (creates the lane on demand). Worker-thread state:
   /// only call while the worker is not running.
@@ -123,8 +117,10 @@ private:
   /// applied to each lane's engine as the lane comes up (laneFor) — packs
   /// are imported at construction, before any lane or engine exists.
   std::vector<engine::PackQuarantine> PendingQuarantines;
-  /// Construction-time warm-start problems (see getStartupWarnings()).
-  /// Written once in the constructor, read-only afterwards.
+  /// Warm-start problems recorded at construction (unreadable pack, bad
+  /// entry): the shard came up cold instead of failing. Written once in
+  /// the constructor, read-only afterwards; getHealth() reports them as
+  /// ShardHealth::Warnings.
   std::vector<std::string> StartupWarnings;
 
   mutable std::mutex Mu; ///< Guards Queue, Stopping, Stats, HealthSnap.

@@ -115,12 +115,6 @@ TangramReduction::emitCudaFor(const VariantDescriptor &Desc) const {
   return codegen::emitCuda(*(*S)->K, Options);
 }
 
-Expected<engine::ReduceResult>
-TangramReduction::reduce(const sim::ArchDesc &Arch,
-                         const engine::ReduceRequest &Req) const {
-  return engineFor(Arch).run(Req);
-}
-
 Expected<engine::DiagnoseReport>
 TangramReduction::diagnose(const sim::ArchDesc &Arch,
                            const engine::DiagnoseRequest &Req) const {

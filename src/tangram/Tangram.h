@@ -111,14 +111,6 @@ public:
   support::Expected<std::string>
   emitCudaFor(const synth::VariantDescriptor &Desc) const;
 
-  /// Runs one reduction request on \p Arch's lazily-created engine. The
-  /// request names everything — input buffer, size, descriptor, backend,
-  /// deadline, optional op/dtype routing facts — so this is the entry the
-  /// serving layer (and any queue-shaped caller) drives.
-  /// See engine::ExecutionEngine::run.
-  support::Expected<engine::ReduceResult>
-  reduce(const sim::ArchDesc &Arch, const engine::ReduceRequest &Req) const;
-
   /// Runs one diagnostic campaign (race / fault / validate) on \p Arch's
   /// engine. See engine::ExecutionEngine::diagnose.
   support::Expected<engine::DiagnoseReport>

@@ -8,14 +8,14 @@
 // representative variants on every architecture, must end in a structured
 // outcome — detected, trapped by the watchdog, quarantined by the tuner,
 // or survived — never a hang, crash, or silently wrong answer. Clean runs
-// must stay bit-identical with the fault machinery present but inactive,
-// and the DynamicSelector must keep answering through its fallback chain
-// when every GPU candidate dies.
+// must stay bit-identical with the fault machinery present but inactive.
+// Serving's answer when its kernel is quarantined is covered with the
+// serving suites (FailoverBits.*, Failover.*).
 //
 //===----------------------------------------------------------------------===//
 
 #include "synth/VariantEnumerator.h"
-#include "tangram/DynamicSelector.h"
+#include "tangram/Tangram.h"
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 using namespace tangram;
 using namespace tangram::synth;
 
-using support::Status;
 using support::StatusCode;
 
 namespace {
@@ -247,81 +246,6 @@ TEST(Quarantine, FindBestUnderDroppedAtomicsStaysStructured) {
     // Nothing survived: the status must say why.
     EXPECT_FALSE(Report.status().Message.empty());
   }
-}
-
-TEST(Selector, StillAnswersNativelyWhenEveryCandidateIsQuarantined) {
-  TangramReduction::Options Opts;
-  auto TR = TangramReduction::create(Opts);
-  ASSERT_TRUE(TR.ok()) << TR.status().toString();
-  engine::ExecutionEngine &E = (*TR)->engineFor(sim::getKeplerK40c());
-
-  // Poison the entire default portfolio (the paper's best eight).
-  for (const VariantDescriptor &V : (*TR)->getSearchSpace().Pruned)
-    if (V.isPaperBest())
-      E.quarantineVariant(
-          V, Status(StatusCode::DeadlineExceeded, "poisoned for test"));
-
-  DynamicSelector Selector(**TR);
-  const size_t N = 3000;
-  std::vector<float> Data(N);
-  double Expected = 0;
-  for (size_t I = 0; I != N; ++I) {
-    Data[I] = static_cast<float>(I % 17);
-    Expected += Data[I];
-  }
-  size_t Mark = E.deviceMark();
-  sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
-  E.getDevice().writeFloats(In, Data);
-  auto Out =
-        Selector.reduce(E, engine::ReduceRequest{.In = In, .N = N});
-  E.deviceRelease(Mark);
-
-  ASSERT_TRUE(Out.ok()) << Out.status().toString();
-  EXPECT_EQ(Out->FloatValue, Expected); // exact: i%17 sums are integral
-  EXPECT_GT(Out->Seconds, 0.0);
-  // Quarantine is a simulator-path verdict: the portfolio retries on the
-  // native CPU backend and answers there, one tier above the host-loop
-  // last resort.
-  EXPECT_EQ(Selector.getNativeFallbackRuns(), 1u);
-  EXPECT_EQ(Selector.getFallbackRuns(), 0u);
-  EXPECT_EQ(Selector.getDeadCandidates(), 0u); // quarantined, not trapped
-}
-
-TEST(Selector, KeepsAnsweringUnderInjectedStuckWarps) {
-  // The end-to-end resilience story: with a livelock fault injected into
-  // every launch, the caller of the selector still gets correct answers on
-  // every call — candidates that trap are marked dead and the chain ends
-  // at the host baseline if necessary.
-  TangramReduction::Options Opts;
-  Opts.Engine.Fault.Kind = sim::FaultKind::StuckWarp;
-  Opts.Engine.Fault.Period = 1;
-  auto TR = TangramReduction::create(Opts);
-  ASSERT_TRUE(TR.ok()) << TR.status().toString();
-  engine::ExecutionEngine &E = (*TR)->engineFor(sim::getPascalP100());
-
-  DynamicSelector Selector(**TR);
-  const size_t N = 2048;
-  std::vector<float> Data(N);
-  double Expected = 0;
-  for (size_t I = 0; I != N; ++I) {
-    Data[I] = static_cast<float>((I % 5) + 1);
-    Expected += Data[I];
-  }
-
-  for (unsigned Call = 0; Call != 3; ++Call) {
-    size_t Mark = E.deviceMark();
-    sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
-    E.getDevice().writeFloats(In, Data);
-    auto Out =
-        Selector.reduce(E, engine::ReduceRequest{.In = In, .N = N});
-    E.deviceRelease(Mark);
-    ASSERT_TRUE(Out.ok()) << "call " << Call << ": "
-                          << Out.status().toString();
-    EXPECT_EQ(Out->FloatValue, Expected) << "call " << Call;
-  }
-  // Under Period=1 every kernel with a loop or barrier traps; at least one
-  // candidate must have died (the portfolio is not barrier-free).
-  EXPECT_GT(Selector.getDeadCandidates(), 0u);
 }
 
 TEST(Facade, FaultCheckMirrorsRaceCheckErrorHandling) {

@@ -16,8 +16,8 @@
 //   * bit-identical native results across engine thread counts (the
 //     parallel effect-log path vs the sequential path);
 //   * the engine contracts around the backend seam: backend-distinct
-//     cache keys, validateVariant's three-way cross-check, the RaceCheck
-//     refusal, and the DynamicSelector's native fallback tier.
+//     cache keys, validateVariant's three-way cross-check, and the
+//     RaceCheck refusal.
 //
 // Registered under the `native` ctest label (tier1-native preset).
 //
@@ -25,7 +25,6 @@
 
 #include "native/NativeKernel.h"
 #include "reduce/OpDef.h"
-#include "tangram/DynamicSelector.h"
 #include "tangram/Tangram.h"
 
 #include <gtest/gtest.h>
@@ -312,42 +311,6 @@ TEST(NativeDifferential, RaceCheckIsRefusedNatively) {
   ASSERT_FALSE(Out.ok());
   EXPECT_EQ(Out.status().Code, StatusCode::InvalidArgument);
   E.deviceRelease(Mark);
-}
-
-TEST(NativeDifferential, SelectorFallsBackToNativeWhenSimulatorPathIsDead) {
-  // Fresh facade: quarantine state is per-engine and must not leak into
-  // the shared-facade tests above.
-  auto TR = TangramReduction::create();
-  ASSERT_TRUE(TR.ok()) << TR.status().toString();
-  engine::ExecutionEngine &E = (*TR)->engineFor(getMaxwellGTX980());
-
-  std::vector<VariantDescriptor> Portfolio = {
-      *findByFigure6Label((*TR)->getSearchSpace(), "b"),
-      *findByFigure6Label((*TR)->getSearchSpace(), "n"),
-  };
-  for (const VariantDescriptor &D : Portfolio)
-    E.quarantineVariant(
-        D, support::Status(StatusCode::DeadlineExceeded,
-                           "synthetic quarantine for fallback test"));
-
-  const size_t N = 4096;
-  std::vector<float> Data(N);
-  double Want = 0;
-  for (size_t I = 0; I != N; ++I) {
-    Data[I] = static_cast<float>(I % 97) * 0.25f;
-    Want += Data[I];
-  }
-  BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
-  E.getDevice().writeFloats(In, Data);
-
-  DynamicSelector Sel(**TR, Portfolio);
-  auto Out = Sel.reduce(E, engine::ReduceRequest{.In = In, .N = N});
-  ASSERT_TRUE(Out.ok()) << Out.status().toString();
-  // The native tier answered — not the host-loop last resort: quarantine
-  // is a simulator-path verdict and does not damn the native backend.
-  EXPECT_EQ(Sel.getNativeFallbackRuns(), 1u);
-  EXPECT_EQ(Sel.getFallbackRuns(), 0u);
-  EXPECT_NEAR(Out->FloatValue, Want, floatTol(Want));
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,8 +13,7 @@
 //  - percentileSorted survives the zero-completed-jobs case;
 //  - ResilientClient absorbs Overloaded refusals with retries, treats
 //    Unavailable as terminal, never sleeps a retry past the job deadline,
-//    gives up cleanly when attempts are exhausted, and hedges a stalled
-//    submission;
+//    and gives up cleanly when attempts are exhausted;
 //  - getHealth() reports per-lane breaker state and the stats split
 //    distinguishes Overloaded from Unavailable refusals.
 //
@@ -273,22 +272,6 @@ TEST(Client, ExhaustedRetriesReportOverloaded) {
   EXPECT_EQ(CS.RetriesExhausted, 1u);
   EXPECT_EQ(CS.Retries, 2u); // MaxAttempts - 1 re-submissions.
   EXPECT_GT(CS.BackoffSecondsTotal, 0.0);
-}
-
-TEST(Client, HedgeRacesAStalledWorker) {
-  ServiceOptions SO;
-  SO.Chaos.Kind = ChaosKind::SlowWorker;
-  SO.Chaos.Period = 1;
-  SO.Chaos.MaxFires = 1;
-  SO.Chaos.DelaySeconds = 0.15;
-  ReductionService Svc(SO);
-  ResilientClientOptions CO;
-  CO.HedgeAfterSeconds = 0.01; // Far below the injected stall.
-  ResilientClient Client(Svc, CO);
-  auto Out = Client.run(smallAddJob());
-  ASSERT_TRUE(Out.ok()) << Out.status().toString();
-  EXPECT_EQ(Out->FloatValue, 6.0);
-  EXPECT_EQ(Client.getStats().Hedges, 1u);
 }
 
 // --- Health reporting ----------------------------------------------------
